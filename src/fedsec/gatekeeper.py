@@ -88,6 +88,8 @@ def derive_sender_site(claims: TokenClaims, registry) -> str:
 
 
 def validate_request(req: InboundRequest, registry, clock=time.time) -> ValidationVerdict:
+    # Every rule reads the same snapshot, even if the registry refreshes meanwhile.
+    registry = registry.snapshot
     # Rule 1: signature under the tenant key named in the token itself.
     try:
         claims = verify(req.token, registry, clock=clock)
@@ -100,7 +102,7 @@ def validate_request(req: InboundRequest, registry, clock=time.time) -> Validati
     except SecurityError as exc:
         return _reject("2", exc.code)
     sender_site = derive_sender_site(claims, registry)
-    primary = registry.primary_site().site_id
+    primary = registry.primary.site_id
 
     # Rule 2: receiving site runs the target service.
     if req.target_service not in receiving_cfg.services:

@@ -219,13 +219,9 @@ def implies(granted: PermissionSpec, required: PermissionSpec) -> bool:
             return False
 
     # Granted has extra parts beyond the request: they must all be wildcards.
+    # (A path-less grant may have a part at the request's path position;
+    # only * matches a path component there.)
     extra = granted.parts[len(required.parts):]
-    if required.path_tail is not None and len(extra) > 0:
-        # Granted (path-less, from a different or wildcard schema) has a part
-        # at the request's path position; only * matches a path component.
-        if not all(p is WILDCARD or p == WILDCARD for p in extra):
-            return False
-        return True
     if not all(p is WILDCARD or p == WILDCARD for p in extra):
         return False
 

@@ -90,7 +90,57 @@ class TenantRecord:
         return self.base_url.split("//", 1)[-1].split("/", 1)[0]
 
 
-class RegistrySnapshot:
+class RegistryView:
+    """The registry queries, each answered from ``self.snapshot``.
+
+    A caller making one decision reads ``snapshot`` once and queries that
+    object, so the whole decision sees one topology even if a refresh or a
+    mutation lands meanwhile.
+    """
+
+    snapshot: "RegistrySnapshot"
+
+    def get_tenant(self, tenant_id: str) -> TenantRecord:
+        rec = self.snapshot.tenants.get(tenant_id)
+        if rec is None:
+            raise UnknownTenant(f"no tenant {tenant_id!r}")
+        return rec
+
+    def list_tenants(self):
+        return sorted(self.snapshot.tenants.values(), key=lambda t: t.tenant_id)
+
+    def get_public_key(self, tenant_id: str) -> str:
+        return self.get_tenant(tenant_id).public_key
+
+    def resolve_site_for_tenant(self, tenant_id: str) -> SiteConfig:
+        snap = self.snapshot
+        return snap.sites[snap.get_tenant(tenant_id).owning_site]
+
+    def site(self, site_id: str) -> SiteConfig:
+        cfg = self.snapshot.sites.get(site_id)
+        if cfg is None:
+            raise UnknownSite(f"no site {site_id!r}")
+        return cfg
+
+    def service_runs_at(self, service: str, site_id: str) -> bool:
+        return service in self.site(site_id).services
+
+    def primary_site(self) -> SiteConfig:
+        return self.snapshot.primary
+
+    def admin_tenant_of(self, site_id: str) -> str:
+        return self.site(site_id).admin_tenant
+
+    def is_admin_tenant(self, tenant_id: str) -> bool:
+        rec = self.snapshot.tenants.get(tenant_id)
+        return rec is not None and rec.is_admin_tenant
+
+    def age(self) -> float | None:
+        """Seconds since the snapshot was fetched; None for an authoritative registry."""
+        return None
+
+
+class RegistrySnapshot(RegistryView):
     """Immutable, validated view of the whole federation topology."""
 
     def __init__(self, sites, tenants):
@@ -98,11 +148,15 @@ class RegistrySnapshot:
         self.tenants = {t.tenant_id: t for t in tenants}
         self._validate()
 
+    @property
+    def snapshot(self) -> "RegistrySnapshot":
+        return self
+
     def _validate(self):
         primaries = [s for s in self.sites.values() if s.is_primary]
         if len(primaries) != 1:
             raise TopologyInvalid(f"exactly one primary site required, found {len(primaries)}")
-        primary = primaries[0]
+        self.primary = primary = primaries[0]
 
         known_services = set(REQUIRED_SITE_SERVICES) | {TENANTS_SERVICE}
         for site in self.sites.values():
@@ -118,13 +172,14 @@ class RegistrySnapshot:
                 f"primary site must run every known service, missing {sorted(known_services - primary.services)}"
             )
 
-        base_urls = {}
+        # DNS resolves a tenant by the host of its base URL, so hosts are unique.
+        self.by_host = {}
         for t in self.tenants.values():
             if t.owning_site not in self.sites:
                 raise TopologyInvalid(f"tenant {t.tenant_id!r} owned by unknown site {t.owning_site!r}")
-            if t.base_url in base_urls:
-                raise TopologyInvalid(f"tenants {base_urls[t.base_url]!r} and {t.tenant_id!r} share a base URL")
-            base_urls[t.base_url] = t.tenant_id
+            other = self.by_host.setdefault(t.host, t)
+            if other is not t:
+                raise TopologyInvalid(f"tenants {other.tenant_id!r} and {t.tenant_id!r} share host {t.host!r}")
 
         admin_tenants = {s.admin_tenant for s in self.sites.values()}
         for site in self.sites.values():
@@ -137,13 +192,6 @@ class RegistrySnapshot:
             if t.is_admin_tenant and t.tenant_id not in admin_tenants:
                 raise TopologyInvalid(f"tenant {t.tenant_id!r} flagged administrative but no site claims it")
 
-    def primary_site(self) -> SiteConfig:
-        return next(s for s in self.sites.values() if s.is_primary)
-
-    def is_admin_tenant(self, tenant_id: str) -> bool:
-        rec = self.tenants.get(tenant_id)
-        return rec is not None and rec.is_admin_tenant
-
 
 def load_config(doc: dict) -> RegistrySnapshot:
     """Build a snapshot from the configuration document's sites/tenants arrays."""
@@ -152,55 +200,16 @@ def load_config(doc: dict) -> RegistrySnapshot:
     return RegistrySnapshot(sites, tenants)
 
 
-class Registry:
+class Registry(RegistryView):
     """Mutable holder over immutable snapshots; swaps are atomic."""
 
     def __init__(self, snapshot: RegistrySnapshot):
-        self._snapshot = snapshot
+        self.snapshot = snapshot
         self._lock = threading.Lock()
 
     @classmethod
     def from_config(cls, doc: dict) -> "Registry":
         return cls(load_config(doc))
-
-    @property
-    def snapshot(self) -> RegistrySnapshot:
-        return self._snapshot
-
-    # -- queries --
-
-    def get_tenant(self, tenant_id: str) -> TenantRecord:
-        rec = self._snapshot.tenants.get(tenant_id)
-        if rec is None:
-            raise UnknownTenant(f"no tenant {tenant_id!r}")
-        return rec
-
-    def list_tenants(self):
-        return sorted(self._snapshot.tenants.values(), key=lambda t: t.tenant_id)
-
-    def get_public_key(self, tenant_id: str) -> str:
-        return self.get_tenant(tenant_id).public_key
-
-    def resolve_site_for_tenant(self, tenant_id: str) -> SiteConfig:
-        return self._snapshot.sites[self.get_tenant(tenant_id).owning_site]
-
-    def site(self, site_id: str) -> SiteConfig:
-        cfg = self._snapshot.sites.get(site_id)
-        if cfg is None:
-            raise UnknownSite(f"no site {site_id!r}")
-        return cfg
-
-    def service_runs_at(self, service: str, site_id: str) -> bool:
-        return service in self.site(site_id).services
-
-    def primary_site(self) -> SiteConfig:
-        return self._snapshot.primary_site()
-
-    def admin_tenant_of(self, site_id: str) -> str:
-        return self.site(site_id).admin_tenant
-
-    def is_admin_tenant(self, tenant_id: str) -> bool:
-        return self._snapshot.is_admin_tenant(tenant_id)
 
     # -- mutation --
 
@@ -214,34 +223,32 @@ class Registry:
         elif caller.kind != "bootstrap":
             raise NotAuthorized("tenant registration requires a site operator or the bootstrap path")
         with self._lock:
-            snap = self._snapshot
+            snap = self.snapshot
             if record.tenant_id in snap.tenants:
                 raise DuplicateTenant(f"tenant {record.tenant_id!r} already registered")
             if record.owning_site not in snap.sites:
                 raise UnknownSite(f"no site {record.owning_site!r}")
-            self._snapshot = RegistrySnapshot(snap.sites.values(), list(snap.tenants.values()) + [record])
+            self.snapshot = RegistrySnapshot(snap.sites.values(), list(snap.tenants.values()) + [record])
 
     def replace_public_key(self, tenant_id: str, public_key: str):
         with self._lock:
-            snap = self._snapshot
+            snap = self.snapshot
             rec = snap.tenants.get(tenant_id)
             if rec is None:
                 raise UnknownTenant(f"no tenant {tenant_id!r}")
             updated = replace(rec, public_key=public_key)
             tenants = [updated if t.tenant_id == tenant_id else t for t in snap.tenants.values()]
-            self._snapshot = RegistrySnapshot(snap.sites.values(), tenants)
-
-    def reload(self, snapshot: RegistrySnapshot):
-        with self._lock:
-            self._snapshot = snapshot
+            self.snapshot = RegistrySnapshot(snap.sites.values(), tenants)
 
 
-class CachedRegistryView:
+class CachedRegistryView(RegistryView):
     """An associate site's cached copy of the primary registry.
 
-    ``fetch`` returns a fresh RegistrySnapshot; the cache refreshes it
-    after ``refresh_seconds`` and reports its age so health checks can
-    flag staleness.
+    ``fetch`` returns a fresh RegistrySnapshot; the cache refetches it once
+    ``refresh_seconds`` have passed since the last attempt and reports the
+    age of the last successful fetch so health checks can flag staleness.
+    A failed refetch keeps serving the stale snapshot and waits another
+    ``refresh_seconds`` before trying again.
     """
 
     def __init__(self, fetch, refresh_seconds: float = REGISTRY_REFRESH_SECONDS, clock=time.time):
@@ -251,28 +258,23 @@ class CachedRegistryView:
         self._lock = threading.Lock()
         self._snapshot = None
         self._fetched_at = None
+        self._attempted_at = None
 
-    def _registry(self) -> Registry:
+    @property
+    def snapshot(self) -> RegistrySnapshot:
         with self._lock:
             now = self._clock()
-            if self._snapshot is None or now - self._fetched_at >= self.refresh_seconds:
+            if self._snapshot is None or now - self._attempted_at >= self.refresh_seconds:
                 try:
                     self._snapshot = self._fetch()
                     self._fetched_at = now
                 except Exception:
                     if self._snapshot is None:
                         raise
-            return Registry(self._snapshot)
+                self._attempted_at = now
+            return self._snapshot
 
     def age(self) -> float:
         if self._fetched_at is None:
             return float("inf")
         return self._clock() - self._fetched_at
-
-    def invalidate(self):
-        with self._lock:
-            self._snapshot = None
-            self._fetched_at = None
-
-    def __getattr__(self, name):
-        return getattr(self._registry(), name)

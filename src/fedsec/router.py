@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import PrimaryUnreachable, UnknownTenant
+from .errors import PrimaryUnreachable
 
 
 class RouteKind(str, Enum):
@@ -55,15 +55,12 @@ def route(tenant_host: str, url_path: str, registry, at_site: str | None = None)
     if service is None:
         return RouteDecision(RouteKind.REJECT, None, f"no service in path {url_path!r}")
 
-    tenant = None
-    for rec in registry.snapshot.tenants.values():
-        if rec.host == tenant_host:
-            tenant = rec
-            break
+    snap = registry.snapshot
+    tenant = snap.by_host.get(tenant_host)
     if tenant is None:
         return RouteDecision(RouteKind.REJECT, service, f"unknown tenant host {tenant_host!r}")
 
-    primary = registry.primary_site()
+    primary = snap.primary
     if service not in primary.services:
         return RouteDecision(RouteKind.REJECT, service, f"unknown service {service!r}")
 
@@ -76,7 +73,7 @@ def route(tenant_host: str, url_path: str, registry, at_site: str | None = None)
 
     if at_site != owning_site:
         return RouteDecision(RouteKind.REJECT, service, "tenant is not served at this site")
-    if registry.service_runs_at(service, at_site):
+    if snap.service_runs_at(service, at_site):
         return RouteDecision(RouteKind.LOCAL, service)
     return RouteDecision(RouteKind.FORWARD_TO_PRIMARY, service)
 
@@ -96,9 +93,3 @@ def forward(request, decision: RouteDecision, transport):
     except Exception as exc:
         raise PrimaryUnreachable(f"forwarding failed: {exc}") from exc
 
-
-def resolve_tenant_by_host(registry, host: str):
-    for rec in registry.snapshot.tenants.values():
-        if rec.host == host:
-            return rec
-    raise UnknownTenant(f"no tenant with host {host!r}")

@@ -25,7 +25,7 @@ from .errors import SecurityError, StartupError
 from .gatekeeper import InboundRequest, validate_request
 from .identity import Caller, UserIdentity
 from .rbac import TENANT_ADMIN_ROLE
-from .router import RouteKind, extract_service, forward, route
+from .router import RouteKind, forward, route
 from .secrets import SecretCategory, SecretPath, SecretValue
 from .sharing import ShareGrant
 from .wire import BadRequestBody, Request, Response, fail, ok
@@ -249,10 +249,10 @@ class SecurityKernelApp(ServiceApp):
     def healthcheck(self, req, verdict):
         components = {"secrets": "ok" if self.rt.secrets.ping() else "down"}
         status = "ready" if components["secrets"] == "ok" else "not-ready"
-        age = self.rt.registry_age()
+        age = self.rt.registry.age()
         if age is not None:
             components["registrySnapshotAgeSeconds"] = round(age, 3)
-            if age > 2 * self.rt.registry_refresh_seconds:
+            if age > 2 * self.rt.registry.refresh_seconds:
                 status = "degraded" if status == "ready" else status
         return ok({"siteId": self.rt.site_id, "status": status, "components": components})
 
@@ -342,8 +342,7 @@ class SiteRuntime:
 
     def __init__(self, site_config, registry, *, rbac, secrets, sharing, forge=None,
                  clock=time.time, operator_credential="", user_credentials=None,
-                 forward_transport=None, registry_refresh_seconds=300.0,
-                 extra_apps=()):
+                 forward_transport=None, service_request_fn=None, extra_apps=()):
         self.config = site_config
         self.site_id = site_config.site_id
         self.registry = registry
@@ -355,12 +354,7 @@ class SiteRuntime:
         self.operator_credential = operator_credential
         self.user_credentials = user_credentials or {}
         self.forward_transport = forward_transport
-        self.registry_refresh_seconds = registry_refresh_seconds
-        # Simulator hooks; a bare runtime works without them.
-        self.transcript = None
-        self.service_request_fn = None
-        self.host_acl_fn = None
-        self.no_authn_routes = frozenset()
+        self.service_request_fn = service_request_fn
         self.apps = {}
         for name, cls in APP_CLASSES.items():
             if name in site_config.services:
@@ -384,14 +378,6 @@ class SiteRuntime:
     def check_operator(self, credential: str) -> bool:
         return bool(self.operator_credential) and credential == self.operator_credential
 
-    def registry_age(self):
-        age = getattr(self.registry, "age", None)
-        return age() if callable(age) else None
-
-    def record(self, actor, action, target=None, sac=False, **detail):
-        if self.transcript is not None:
-            self.transcript.record(actor, action, target=target, sac=sac, **detail)
-
     def service_request(self, from_service, method, tenant, path, obo=None,
                         json_body=None, query=None, headers=None):
         """Outbound service-to-service call; wired in by the federation."""
@@ -404,17 +390,10 @@ class SiteRuntime:
     def systems_identity(self) -> Caller:
         return Caller(name="systems", tenant=self.config.admin_tenant, kind="service")
 
-    def host_allows(self, system_id, username, privilege) -> bool:
-        if self.host_acl_fn is None:
-            return False
-        return self.host_acl_fn(system_id, username, privilege)
-
     # -- request entry point --
 
     def handle(self, method, host, target, headers, body) -> Response:
         req = Request.from_wire(method, target, headers, body, host=host)
-        if req.header("x-sim-direct"):
-            return self._direct_probe(req)
         decision = route(host, req.path, self.registry, at_site=self.site_id)
         if decision.kind is RouteKind.REJECT:
             return fail(404, "ROUTE_REJECTED", decision.reason or "rejected")
@@ -429,18 +408,6 @@ class SiteRuntime:
         if app is None:
             return fail(503, "STARTUP_ERROR", f"{decision.service} is not running at {self.site_id}")
         return app.dispatch(req)
-
-    def _direct_probe(self, req: Request) -> Response:
-        """Simulator-only: validate against this site without routing."""
-        service = extract_service(req.path)
-        if service is None:
-            return fail(404, "NO_ROUTE", "no service in path")
-        verdict = self.validate(req, service)
-        if not verdict.accepted:
-            return rejection_response(verdict)
-        return ok({"accepted": True,
-                   "effectiveUser": verdict.effective_user.subject(),
-                   "targetService": service})
 
 
 class _SiteHTTPHandler(BaseHTTPRequestHandler):

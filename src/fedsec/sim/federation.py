@@ -25,12 +25,13 @@ from ..gatekeeper import OBO_TENANT_HEADER, OBO_USER_HEADER, TOKEN_HEADER
 from ..identity import BOOTSTRAP, Caller
 from ..rbac import TOKEN_GENERATOR_ROLE, TENANT_ADMIN_ROLE, MemoryRbacStore, RbacService
 from ..registry import CachedRegistryView, Registry, RegistrySnapshot, TenantRecord
+from ..router import extract_service
 from ..secrets import MemoryKvBackend, SecretCategory, SecretPath, SecretsService
-from ..service import SiteRuntime, serve_site
+from ..service import SiteRuntime, rejection_response, serve_site
 from ..sharing import SharingService
 from ..skadmin import BootstrapConfig, run_bootstrap
 from ..tokens import TokenForge, peek_claims
-from ..wire import Response
+from ..wire import Request, Response, fail, ok
 from .stubs import STUB_APPS
 from .topology import Topology
 
@@ -76,6 +77,41 @@ class Transcript:
         return [e for e in self.snapshot()
                 if (action is None or e["action"] == action)
                 and (actor is None or e["actor"] == actor)]
+
+
+class SimSiteRuntime(SiteRuntime):
+    """A site runtime carrying the simulator's hooks: the shared transcript,
+    the topology's host allow-table and no-authn routes, and the
+    ``X-Sim-Direct`` probe the validation matrix fires at each site."""
+
+    def __init__(self, *args, transcript, host_acl_fn, no_authn_routes, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.transcript = transcript
+        self.host_acl_fn = host_acl_fn
+        self.no_authn_routes = no_authn_routes
+
+    def record(self, actor, action, target=None, sac=False, **detail):
+        self.transcript.record(actor, action, target=target, sac=sac, **detail)
+
+    def host_allows(self, system_id, username, privilege) -> bool:
+        return self.host_acl_fn(system_id, username, privilege)
+
+    def handle(self, method, host, target, headers, body) -> Response:
+        if any(key.lower() == "x-sim-direct" and value for key, value in headers.items()):
+            return self._direct_probe(Request.from_wire(method, target, headers, body, host=host))
+        return super().handle(method, host, target, headers, body)
+
+    def _direct_probe(self, req: Request) -> Response:
+        """Validate against this site without routing."""
+        service = extract_service(req.path)
+        if service is None:
+            return fail(404, "NO_ROUTE", "no service in path")
+        verdict = self.validate(req, service)
+        if not verdict.accepted:
+            return rejection_response(verdict)
+        return ok({"accepted": True,
+                   "effectiveUser": verdict.effective_user.subject(),
+                   "targetService": service})
 
 
 class _TokenCache:
@@ -175,7 +211,7 @@ class Federation:
                 is_admin_tenant=record.is_admin_tenant))
         self.registry = Registry(RegistrySnapshot(self.topo.sites, tenants))
 
-    def _associate_registry_view(self, refresh_seconds=300.0):
+    def _associate_registry_view(self):
         primary_admin_host = self.registry.get_tenant(
             self.registry.primary_site().admin_tenant).host
 
@@ -184,7 +220,7 @@ class Federation:
             records = [TenantRecord.from_dict(d) for d in response.json()["result"]]
             return RegistrySnapshot(self.topo.sites, records)
 
-        return CachedRegistryView(fetch, refresh_seconds=refresh_seconds)
+        return CachedRegistryView(fetch)
 
     def _start_site(self, site):
         site_id = site.site_id
@@ -196,19 +232,17 @@ class Federation:
         forge = TokenForge(
             site_id=site_id, admin_tenant=site.admin_tenant,
             private_key_provider=key_cache, rbac=rbac,
-            registry=registry if not site.is_primary else self.registry,
+            registry=registry,
             secrets=secrets, default_ttl=self.topo.service_token_ttl)
 
-        runtime = SiteRuntime(
+        runtime = SimSiteRuntime(
             site, registry, rbac=rbac, secrets=secrets, sharing=sharing, forge=forge,
             operator_credential=self.topo.operator_credentials.get(site_id, f"operator-{site_id}"),
             user_credentials=self.topo.tenant_users,
             forward_transport=None if site.is_primary else self._make_forward_transport(site_id),
-            extra_apps=STUB_APPS)
-        runtime.transcript = self.transcript
-        runtime.service_request_fn = self._service_request
-        runtime.host_acl_fn = self.topo.host_allows
-        runtime.no_authn_routes = self.topo.no_authn_routes
+            service_request_fn=self._service_request, extra_apps=STUB_APPS,
+            transcript=self.transcript, host_acl_fn=self.topo.host_allows,
+            no_authn_routes=self.topo.no_authn_routes)
 
         handle = serve_site(runtime)
         self.runtimes[site_id] = runtime
@@ -387,8 +421,6 @@ class Federation:
     def _service_request(self, from_site, from_service, method, tenant, path,
                          obo=None, json_body=None, query=None, headers=None):
         """A service at from_site calls another service in some tenant."""
-        from ..router import extract_service
-
         target_service = extract_service(path) or ""
         receiving = self.receiving_site_for(tenant, target_service)
         token = self.service_token(from_site, from_service, receiving)

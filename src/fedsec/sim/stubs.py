@@ -357,12 +357,10 @@ class FilesApp(ServiceApp):
             return ok({"system": system, "path": path, "content": "simulated-bytes"})
         if "files-content" not in self.rt.no_authn_routes:
             return fail(401, "REQUEST_VALIDATION_FAILED", "token required on this route")
-        try:
-            from ..router import resolve_tenant_by_host
-            tenant = resolve_tenant_by_host(self.rt.registry, req.host).tenant_id
-        except SecurityError:
+        tenant = self.rt.registry.snapshot.by_host.get(req.host)
+        if tenant is None:
             return fail(404, "UNKNOWN_TENANT", "cannot resolve tenant from host")
-        if not self.rt.sharing.is_no_authn_shared(tenant, "path", f"{system}:{path}", "READ"):
+        if not self.rt.sharing.is_no_authn_shared(tenant.tenant_id, "path", f"{system}:{path}", "READ"):
             return fail(401, "REQUEST_VALIDATION_FAILED", "resource is not shared for URL access")
         self.rt.record(f"files@{self.rt.site_id}", "no-authn-read", target=f"{system}:{path}")
         return ok({"system": system, "path": path, "content": "simulated-bytes"})

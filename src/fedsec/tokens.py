@@ -300,11 +300,12 @@ class TokenForge:
             caller=Caller(name="tokens", tenant=self.admin_tenant, kind="service"),
         ):
             raise BadCredentials(f"bad service password for {service_name!r}")
-        primary = self.registry.primary_site().site_id
-        allowed = (set(self.registry.snapshot.sites) if site == primary else {site, primary})
+        snap = self.registry.snapshot
+        primary = snap.primary.site_id
+        allowed = set(snap.sites) if site == primary else {site, primary}
         pairs = {}
         for target in target_sites:
-            if target not in self.registry.snapshot.sites:
+            if target not in snap.sites:
                 raise UnknownSite(f"no site {target!r}")
             if target not in allowed:
                 raise NotAuthorized(

@@ -76,11 +76,13 @@ def test_missing_admin_tenant_rejected():
 
 
 def test_duplicate_base_url_rejected():
-    doc = two_site_doc()
-    doc["tenants"][2]["base_url"] = "http://shared.sim"
-    doc["tenants"][3]["base_url"] = "http://shared.sim"
-    with pytest.raises(TopologyInvalid):
-        load_config(doc)
+    # DNS resolves tenants by host, so two base URLs on one host collide too.
+    for urls in (("http://shared.sim", "http://shared.sim"),
+                 ("http://shared.sim/a", "http://shared.sim/b")):
+        doc = two_site_doc()
+        doc["tenants"][2]["base_url"], doc["tenants"][3]["base_url"] = urls
+        with pytest.raises(TopologyInvalid):
+            load_config(doc)
 
 
 def test_tenant_owned_by_unknown_site_rejected():
@@ -175,4 +177,14 @@ def test_cached_view_serves_stale_if_fetch_fails():
     view.get_tenant("tenant1")
     state["fail"] = True
     now[0] += 60
-    assert view.get_tenant("tenant1").tenant_id == "tenant1"
+    attempts = []
+    view._fetch = lambda: attempts.append(now[0]) or fetch()
+    for _ in range(5):
+        assert view.get_tenant("tenant1").tenant_id == "tenant1"
+    # One failed attempt, then no retry for another refresh interval; the
+    # reported age still counts from the last successful fetch.
+    assert attempts == [60.0]
+    assert view.age() == 60
+    now[0] += 10
+    view.get_tenant("tenant1")
+    assert attempts == [60.0, 70.0]

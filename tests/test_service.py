@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsec.gatekeeper import OBO_TENANT_HEADER, OBO_USER_HEADER
+from fedsec.gatekeeper import OBO_TENANT_HEADER, OBO_USER_HEADER, TOKEN_HEADER
+from fedsec.service import SiteRuntime
 from fedsec.sim.federation import build_federation
 from fedsec.sim.scenario import walkthrough_topology_doc
 
@@ -285,3 +286,16 @@ def test_user_token_with_obo_headers_rejected_over_http(fed, tokens):
                     headers={OBO_USER_HEADER: "mallory", OBO_TENANT_HEADER: "tenant1"})
     assert r.status_code == 403
     assert r.json()["result"]["rule"] == "6a"
+
+
+def test_sim_direct_probe_only_in_simulator_runtime(fed):
+    # The validation probe skips routing; a production runtime must route it.
+    sim = fed.runtimes["assoc1"]
+    plain = SiteRuntime(sim.config, sim.registry, rbac=sim.rbac, secrets=sim.secrets,
+                        sharing=sim.sharing, forge=sim.forge)
+    headers = {"X-Sim-Direct": "1", TOKEN_HEADER: fed.login("tenant2", "carol")}
+    args = ("GET", "assoc1.sim", "/v3/security/probe", headers, b"")
+    assert sim.handle(*args).body["result"]["accepted"] is True
+    rejected = plain.handle(*args)
+    assert rejected.status == 404
+    assert rejected.body["result"]["code"] == "ROUTE_REJECTED"
