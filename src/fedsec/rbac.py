@@ -54,6 +54,17 @@ def default_role_name(username: str) -> str:
     return DEFAULT_ROLE_PREFIX + username
 
 
+def _reach(edges, start) -> frozenset:
+    """Every role reachable from ``start`` through child edges, itself included."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        for child in edges.get(frontier.pop(), ()):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return frozenset(seen)
+
+
 class MemoryRbacStore:
     """Dict-backed store; tables mirror the relational layout."""
 
@@ -367,45 +378,27 @@ class RbacService:
             for name in (parent, child):
                 if self.store.get_role(tenant, name) is None:
                     raise UnknownRole(f"no role {name!r} in tenant {tenant!r}")
-            if parent == child or self._reachable(tenant, child, parent):
+            if parent in _reach(self.store.edges(tenant), child):
                 raise CycleDetected(f"edge {parent!r} -> {child!r} would close a cycle")
             self.store.add_edge(tenant, parent, child)
             self._invalidate_graph(tenant)
 
-    def _reachable(self, tenant, start, target) -> bool:
-        edges = self.store.edges(tenant)
-        frontier = [start]
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            if node == target:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(edges.get(node, ()))
-        return False
+    def _cached(self, cache, key, tenant, build):
+        """``cache[key]``, built on a miss under the tenant lock, which each write holds
+        from its store change to its invalidation: no entry predates a finished write."""
+        value = cache.get(key)
+        if value is None:
+            with self._lock(tenant):
+                value = cache.get(key)
+                if value is None:
+                    value = cache[key] = build()
+        return value
 
     def _closure_map(self, tenant):
-        cache = self._closures.get(tenant)
-        if cache is None:
+        def build():
             edges = self.store.edges(tenant)
-            cache = {}
-
-            def close(role):
-                if role in cache:
-                    return cache[role]
-                acc = {role}
-                cache[role] = frozenset(acc)  # provisional; DAG means no real recursion into self
-                for child in edges.get(role, ()):
-                    acc |= close(child)
-                cache[role] = frozenset(acc)
-                return cache[role]
-
-            for name in self.store.role_names(tenant):
-                close(name)
-            self._closures[tenant] = cache
-        return cache
+            return {role: _reach(edges, role) for role in self.store.role_names(tenant)}
+        return self._cached(self._closures, tenant, tenant, build)
 
     # -- assignments --
 
@@ -483,12 +476,8 @@ class RbacService:
             self._invalidate_grants(tenant, role_name)
 
     def _compiled_for(self, tenant, role) -> _CompiledGrants:
-        key = (tenant, role)
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            specs = [parse_permission(p, self.registry) for p in self.store.permissions_of(tenant, role)]
-            compiled = self._compiled[key] = _CompiledGrants(specs)
-        return compiled
+        return self._cached(self._compiled, (tenant, role), tenant, lambda: _CompiledGrants(
+            [parse_permission(p, self.registry) for p in self.store.permissions_of(tenant, role)]))
 
     def is_permitted(self, user: UserIdentity, required_permission: str) -> bool:
         return self.subject_is_permitted(user.tenant, user.username, required_permission)

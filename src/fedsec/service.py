@@ -15,20 +15,21 @@ tenants owned elsewhere (validation rule 3) before any handler runs.
 from __future__ import annotations
 
 import base64
-import binascii
+import hmac
+import inspect
 import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import SecurityError, StartupError
+from .errors import NotAuthorized, SecurityError, StartupError
 from .gatekeeper import InboundRequest, validate_request
 from .identity import Caller, UserIdentity
 from .rbac import TENANT_ADMIN_ROLE
 from .router import RouteKind, forward, route
 from .secrets import SecretCategory, SecretPath, SecretValue
 from .sharing import ShareGrant
-from .wire import BadRequestBody, Request, Response, fail, ok
+from .wire import BadRequestBody, Request, Response, b64, fail, ok
 
 
 def rejection_response(verdict) -> Response:
@@ -44,7 +45,12 @@ def caller_from(verdict) -> Caller:
 
 
 class ServiceApp:
-    """Base: route table dispatch plus per-route authentication."""
+    """Base: route table dispatch, per-route authentication, and input binding.
+
+    A handler's parameters after ``(req, verdict)`` are its inputs: a path group,
+    else a JSON body field on POST, else a query parameter. No default means
+    required. A ``str``/``bool``/``list``/``dict`` annotation is a type check (a
+    required ``str`` is non-empty); any other converts. A mistake answers 400."""
 
     name = "service"
     ROUTES = ()  # (method, pattern, auth, handler_name); auth: token|open
@@ -56,10 +62,38 @@ class ServiceApp:
             # {name} matches one segment; {name:path} spans segments.
             regex = re.sub(r"\{(\w+):path\}", r"(?P<\1>.+)", pattern)
             regex = re.compile("^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", regex) + "$")
-            self._compiled.append((method, regex, auth, getattr(self, handler_name)))
+            handler = getattr(self, handler_name)
+            params = list(inspect.signature(handler, eval_str=True).parameters.values())[2:]
+            fields = tuple((p.name, str if p.annotation is p.empty else p.annotation,
+                            p.default is p.empty) for p in params)
+            self._compiled.append((method, regex, auth, handler, fields))
+
+    @staticmethod
+    def _bind(req: Request, path_args: dict, fields) -> dict:
+        # Every path group is a parameter, so any further one is a body or query field.
+        source = path_args if len(fields) == len(path_args) else {
+            **(req.json() if req.method == "POST" else req.query), **path_args}
+        args = {}
+        for name, kind, required in fields:
+            if name not in source:
+                if required:
+                    raise BadRequestBody(f"missing field {name!r}")
+                continue
+            value = source[name]
+            if kind in (str, bool, list, dict):
+                if not isinstance(value, kind) or (required and value == ""):
+                    empty = " non-empty" if required and kind is str else ""
+                    raise BadRequestBody(f"field {name!r} must be a{empty} {kind.__name__}")
+            else:
+                try:
+                    value = kind(value)
+                except (ValueError, TypeError) as exc:
+                    raise BadRequestBody(f"field {name!r}: {exc}") from exc
+            args[name] = value
+        return args
 
     def dispatch(self, req: Request) -> Response:
-        for method, regex, auth, handler in self._compiled:
+        for method, regex, auth, handler, fields in self._compiled:
             if req.method != method:
                 continue
             match = regex.match(req.path)
@@ -71,7 +105,7 @@ class ServiceApp:
                 if not verdict.accepted:
                     return rejection_response(verdict)
             try:
-                return handler(req, verdict, **match.groupdict())
+                return handler(req, verdict, **self._bind(req, match.groupdict(), fields))
             except BadRequestBody as exc:
                 return fail(400, "BAD_REQUEST", str(exc))
             except SecurityError as exc:
@@ -105,12 +139,10 @@ class SecurityKernelApp(ServiceApp):
 
     # -- roles --
 
-    def create_role(self, req, verdict):
-        body = req.json()
+    def create_role(self, req, verdict, roleName: str, owner: str = None, description: str = ""):
         user = verdict.effective_user
-        role = self.rt.rbac.create_role(
-            user.tenant, body["roleName"], body.get("owner", user.username),
-            body.get("description", ""), caller=caller_from(verdict))
+        role = self.rt.rbac.create_role(user.tenant, roleName, owner or user.username,
+                                        description, caller=caller_from(verdict))
         return ok({"roleName": role.name, "tenant": role.tenant, "owner": role.owner},
                   message="role created", status=201)
 
@@ -123,89 +155,70 @@ class SecurityKernelApp(ServiceApp):
         self.rt.rbac.delete_role(verdict.effective_user.tenant, name, caller=caller_from(verdict))
         return ok(message="role deleted")
 
-    def add_child(self, req, verdict, name):
-        child = req.json()["childRoleName"]
-        self.rt.rbac.add_child_role(verdict.effective_user.tenant, name, child,
+    def add_child(self, req, verdict, name, childRoleName: str):
+        self.rt.rbac.add_child_role(verdict.effective_user.tenant, name, childRoleName,
                                     caller=caller_from(verdict))
         return ok(message="child role attached")
 
-    def grant_role(self, req, verdict, name):
-        body = req.json()
+    def grant_role(self, req, verdict, name, username: str):
         user = verdict.effective_user
-        self.rt.rbac.grant_role(UserIdentity(body["username"], user.tenant), name,
+        self.rt.rbac.grant_role(UserIdentity(username, user.tenant), name,
                                 grantor=user.username, caller=caller_from(verdict))
         return ok(message="role granted")
 
-    def revoke_role(self, req, verdict, name):
-        body = req.json()
-        user = verdict.effective_user
-        self.rt.rbac.revoke_role(UserIdentity(body["username"], user.tenant), name,
+    def revoke_role(self, req, verdict, name, username: str):
+        self.rt.rbac.revoke_role(UserIdentity(username, verdict.effective_user.tenant), name,
                                  caller=caller_from(verdict))
         return ok(message="role revoked")
 
-    def grant_permission(self, req, verdict, name):
-        self.rt.rbac.grant_permission(name, verdict.effective_user.tenant,
-                                      req.json()["permission"], caller=caller_from(verdict))
+    def grant_permission(self, req, verdict, name, permission: str):
+        self.rt.rbac.grant_permission(name, verdict.effective_user.tenant, permission,
+                                      caller=caller_from(verdict))
         return ok(message="permission granted")
 
-    def revoke_permission(self, req, verdict, name):
-        self.rt.rbac.revoke_permission(name, verdict.effective_user.tenant,
-                                       req.json()["permission"], caller=caller_from(verdict))
+    def revoke_permission(self, req, verdict, name, permission: str):
+        self.rt.rbac.revoke_permission(name, verdict.effective_user.tenant, permission,
+                                       caller=caller_from(verdict))
         return ok(message="permission revoked")
 
-    def _may_query(self, verdict, tenant, username) -> bool:
+    def _queried_subject(self, verdict, tenant, username):
+        """The subject asked about, the caller by default; only services and admins name others."""
         user = verdict.effective_user
-        if verdict.claims.account_type == "service":
-            return True
-        if user.tenant != tenant:
-            return False
-        if user.username == username:
-            return True
-        return self.rt.rbac.has_role(user, TENANT_ADMIN_ROLE)
+        tenant, username = tenant or user.tenant, username or user.username
+        if verdict.claims.account_type != "service" and (user.tenant != tenant or (
+                user.username != username and not self.rt.rbac.has_role(user, TENANT_ADMIN_ROLE))):
+            raise NotAuthorized("may not query other users")
+        return tenant, username
 
-    def has_role(self, req, verdict):
-        user = verdict.effective_user
-        tenant = req.query.get("tenant", user.tenant)
-        username = req.query.get("username", user.username)
-        role = req.query["roleName"]
-        if not self._may_query(verdict, tenant, username):
-            return fail(403, "NOT_AUTHORIZED", "may not query other users")
-        return ok({"hasRole": self.rt.rbac.subject_has_role(tenant, username, role)})
+    def has_role(self, req, verdict, roleName: str, tenant: str = None, username: str = None):
+        tenant, username = self._queried_subject(verdict, tenant, username)
+        return ok({"hasRole": self.rt.rbac.subject_has_role(tenant, username, roleName)})
 
-    def is_permitted(self, req, verdict):
-        body = req.json()
-        tenant = body.get("tenant", verdict.effective_user.tenant)
-        username = body.get("username", verdict.effective_user.username)
-        if not self._may_query(verdict, tenant, username):
-            return fail(403, "NOT_AUTHORIZED", "may not query other users")
-        allowed = self.rt.rbac.subject_is_permitted(tenant, username, body["permission"])
-        return ok({"isPermitted": allowed})
+    def is_permitted(self, req, verdict, permission: str, tenant: str = None, username: str = None):
+        tenant, username = self._queried_subject(verdict, tenant, username)
+        return ok({"isPermitted": self.rt.rbac.subject_is_permitted(tenant, username, permission)})
 
     # -- shares --
 
-    def create_share(self, req, verdict):
-        body = req.json()
+    def create_share(self, req, verdict, grantee: str, resourceType: str, resourceId: str,
+                     privilege: str):
         user = verdict.effective_user
-        grant = ShareGrant(tenant=user.tenant, grantor=user.username, grantee=body["grantee"],
-                           resource_type=body["resourceType"], resource_id=body["resourceId"],
-                           privilege=body["privilege"])
+        grant = ShareGrant(user.tenant, user.username, grantee, resourceType, resourceId, privilege)
         self.rt.sharing.create_share(grant, Caller(user.username, user.tenant, "user"))
         return ok(message="share created", status=201)
 
-    def is_shared_with(self, req, verdict):
+    def is_shared_with(self, req, verdict, resourceType: str, resourceId: str, privilege: str,
+                       username: str = None):
         user = verdict.effective_user
-        q = req.query
         shared, grantor = self.rt.sharing.is_shared_with(
-            user.tenant, q["resourceType"], q["resourceId"],
-            q.get("username", user.username), q["privilege"])
+            user.tenant, resourceType, resourceId, username or user.username, privilege)
         return ok({"shared": shared, "grantor": grantor})
 
-    def revoke_share(self, req, verdict):
-        body = req.json()
+    def revoke_share(self, req, verdict, grantee: str, resourceType: str, resourceId: str,
+                     privilege: str, grantor: str = None):
         user = verdict.effective_user
-        grant = ShareGrant(tenant=user.tenant, grantor=body.get("grantor", user.username),
-                           grantee=body["grantee"], resource_type=body["resourceType"],
-                           resource_id=body["resourceId"], privilege=body["privilege"])
+        grant = ShareGrant(user.tenant, grantor or user.username, grantee, resourceType,
+                           resourceId, privilege)
         is_admin = lambda c: self.rt.rbac.has_role(UserIdentity(c.name, c.tenant), TENANT_ADMIN_ROLE)
         self.rt.sharing.revoke_share(grant, Caller(user.username, user.tenant, "user"),
                                      is_tenant_admin=is_admin)
@@ -213,35 +226,29 @@ class SecurityKernelApp(ServiceApp):
 
     # -- vault --
 
-    def write_secret(self, req, verdict, category, tenant, owner, secret_name):
-        body = req.json()
-        path = SecretPath(tenant, SecretCategory(category), owner, secret_name)
-        payload = base64.b64decode(body["payloadB64"])
+    def write_secret(self, req, verdict, category: SecretCategory, tenant, owner, secret_name,
+                     payloadB64: b64, metadata: dict = None):
         version = self.rt.secrets.write_secret(
-            path, SecretValue(payload, metadata=body.get("metadata", {})), caller_from(verdict))
+            SecretPath(tenant, category, owner, secret_name),
+            SecretValue(payloadB64, metadata=metadata or {}), caller_from(verdict))
         return ok({"version": version}, message="secret written", status=201)
 
-    def read_secret(self, req, verdict, category, tenant, owner, secret_name):
-        path = SecretPath(tenant, SecretCategory(category), owner, secret_name)
-        version = int(req.query["version"]) if "version" in req.query else None
+    def read_secret(self, req, verdict, category: SecretCategory, tenant, owner, secret_name,
+                    version: int = None):
+        path = SecretPath(tenant, category, owner, secret_name)
         value = self.rt.secrets.read_secret(path, caller_from(verdict), version=version)
         return ok({"payloadB64": base64.b64encode(value.payload).decode(),
                    "metadata": value.metadata})
 
-    def validate_password(self, req, verdict, service):
-        candidate = base64.b64decode(req.json()["passwordB64"])
-        valid = self.rt.secrets.validate_service_password(
-            service, self.rt.site_id, candidate, caller_from(verdict))
-        return ok({"valid": valid})
+    def validate_password(self, req, verdict, service, passwordB64: b64):
+        return ok({"valid": self.rt.secrets.validate_service_password(
+            service, self.rt.site_id, passwordB64, caller_from(verdict))})
 
-    def export_vault(self, req, verdict):
-        credential = req.header("X-Operator-Credential", "")
-        if not self.rt.check_operator(credential):
+    def export_vault(self, req, verdict, scope: str = "site", scopeId: str = None):
+        if not self.rt.check_operator(req.header("X-Operator-Credential", "")):
             return fail(403, "NOT_AUTHORIZED", "operator credential required")
-        body = req.json()
-        archive = self.rt.secrets.export_backup(
-            body.get("scope", "site"), body.get("scopeId", self.rt.site_id),
-            Caller("operator", "-", "operator"))
+        archive = self.rt.secrets.export_backup(scope, scopeId or self.rt.site_id,
+                                                Caller("operator", "-", "operator"))
         return ok({"archiveB64": base64.b64encode(archive).decode()})
 
     # -- health --
@@ -266,30 +273,26 @@ class TokensApp(ServiceApp):
         ("POST", "/v3/tokens/refresh", "open", "refresh"),
     )
 
-    def issue_user(self, req, verdict):
-        body = req.json()
-        token = self.rt.forge.issue_user_token(
-            caller_from(verdict), body["tenant"], body["username"], ttl=body.get("ttl"))
+    def issue_user(self, req, verdict, tenant: str, username: str, ttl: float = None):
+        token = self.rt.forge.issue_user_token(caller_from(verdict), tenant, username, ttl=ttl)
         return ok({"accessToken": token}, message="token issued", status=201)
 
-    def issue_service(self, req, verdict):
+    def issue_service(self, req, verdict, targetSites: list = None):
         header = req.header("Authorization", "")
         if not header.startswith("Basic "):
             return fail(401, "BAD_CREDENTIALS", "basic authentication required")
         try:
-            decoded = base64.b64decode(header[len("Basic "):]).decode()
-            service_name, _, password = decoded.partition(":")
-        except (binascii.Error, UnicodeDecodeError):
+            service_name, _, password = b64(header[len("Basic "):]).decode().partition(":")
+        except ValueError:  # bad base64, non-ASCII text or undecodable bytes
             return fail(401, "BAD_CREDENTIALS", "undecodable basic credentials")
-        body = req.json()
-        targets = body.get("targetSites", [self.rt.site_id])
+        targets = [self.rt.site_id] if targetSites is None else targetSites
         pairs = self.rt.forge.issue_service_tokens(
             service_name, password.encode(), self.rt.site_id, targets)
         return ok({site: {"accessToken": p.access, "refreshToken": p.refresh}
                    for site, p in pairs.items()}, message="service tokens issued", status=201)
 
-    def refresh(self, req, verdict):
-        pair = self.rt.forge.refresh(req.json()["refreshToken"])
+    def refresh(self, req, verdict, refreshToken: str):
+        pair = self.rt.forge.refresh(refreshToken)
         return ok({"accessToken": pair.access, "refreshToken": pair.refresh},
                   message="token refreshed", status=201)
 
@@ -320,11 +323,10 @@ class AuthenticatorApp(ServiceApp):
         ("POST", "/v3/authenticator/tokens", "open", "login"),
     )
 
-    def login(self, req, verdict):
-        body = req.json()
-        tenant, username = body["tenant"], body["username"]
+    def login(self, req, verdict, tenant: str, username: str, password: str):
         expected = self.rt.user_credentials.get(tenant, {}).get(username)
-        if expected is None or expected != body.get("password"):
+        if expected is None or not hmac.compare_digest(  # a lone surrogate must not raise
+                expected.encode(), password.encode(errors="surrogatepass")):
             return fail(401, "BAD_CREDENTIALS", "unknown user or wrong password")
         requester = Caller(name="authenticator", tenant=self.rt.config.admin_tenant, kind="service")
         token = self.rt.forge.issue_user_token(requester, tenant, username)
@@ -376,7 +378,8 @@ class SiteRuntime:
         return validate_request(inbound, self.registry, clock=self.clock)
 
     def check_operator(self, credential: str) -> bool:
-        return bool(self.operator_credential) and credential == self.operator_credential
+        return bool(self.operator_credential) and hmac.compare_digest(
+            credential.encode(), self.operator_credential.encode())
 
     def service_request(self, from_service, method, tenant, path, obo=None,
                         json_body=None, query=None, headers=None):

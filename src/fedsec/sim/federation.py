@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 
 import requests
 
@@ -47,23 +48,28 @@ def _session() -> requests.Session:
     return session
 
 
+TRANSCRIPT_LIMIT = 10_000  # entries kept; older ones are dropped
+
+
 class Transcript:
-    """Thread-safe ordered record of everything the federation did."""
+    """Thread-safe ordered record of the most recent things the federation did."""
 
     def __init__(self):
-        self._entries = []
+        self._entries = deque(maxlen=TRANSCRIPT_LIMIT)
+        self._seq = 0
         self._lock = threading.Lock()
 
     def record(self, actor, action, target=None, sac=False, **detail):
         with self._lock:
             self._entries.append({
-                "seq": len(self._entries),
+                "seq": self._seq,
                 "actor": actor,
                 "action": action,
                 "target": target,
                 "sac": sac,
                 "detail": detail,
             })
+            self._seq += 1
 
     def snapshot(self):
         with self._lock:
@@ -72,6 +78,7 @@ class Transcript:
     def clear(self):
         with self._lock:
             self._entries.clear()
+            self._seq = 0
 
     def find(self, action=None, actor=None):
         return [e for e in self.snapshot()

@@ -19,9 +19,18 @@ from ..errors import NotFound, SecurityError
 from ..secrets import SecretCategory, SecretPath, SecretValue
 from ..service import ServiceApp, rejection_response
 from ..sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER, AccessOutcome, SacDescriptor
-from ..wire import fail, ok
+from ..wire import Response, b64, fail, ok
 
 TEMPLATE_REQUESTER = "${requester}"
+
+
+def storage_entries(value) -> list:
+    """Field converter: an application's storage, a list of {system, path} strings."""
+    if not isinstance(value, list) or not all(
+            isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("system", "path"))
+            for e in value):
+        raise TypeError("must be a list of {system, path} objects with string values")
+    return value
 
 
 def _sac_headers_of(req):
@@ -45,40 +54,32 @@ class SystemsApp(ServiceApp):
         super().__init__(runtime)
         self.defs = {}  # (tenant, id) -> definition dict
 
-    def create_system(self, req, verdict):
-        body = req.json()
+    def create_system(self, req, verdict, id: str, owner: str = None, kind: str = "storage",
+                      credentialUser: str = TEMPLATE_REQUESTER):
         user = verdict.effective_user
-        definition = {
-            "id": body["id"],
-            "tenant": user.tenant,
-            "owner": body.get("owner", user.username),
-            "kind": body.get("kind", "storage"),
-            "credentialUser": body.get("credentialUser", TEMPLATE_REQUESTER),
-        }
-        self.defs[(user.tenant, body["id"])] = definition
+        definition = {"id": id, "tenant": user.tenant, "owner": owner or user.username,
+                      "kind": kind, "credentialUser": credentialUser}
+        self.defs[(user.tenant, id)] = definition
         self.rt.record(f"systems@{self.rt.site_id}", "system-defined",
-                       target=body["id"], tenant=user.tenant)
+                       target=id, tenant=user.tenant)
         return ok(definition, message="system defined", status=201)
 
-    def store_credentials(self, req, verdict, sys_id):
-        body = req.json()
+    def store_credentials(self, req, verdict, sys_id, payloadB64: b64, username: str = None):
         user = verdict.effective_user
-        username = body.get("username", user.username)
+        username = username or user.username
         if verdict.claims.account_type == "user" and username != user.username:
             return fail(403, "NOT_AUTHORIZED", "users store only their own credentials")
         path = SecretPath(user.tenant, SecretCategory.SYSTEM_CREDENTIAL, username, sys_id)
-        writer = self.rt.systems_identity()
-        payload = base64.b64decode(body["payloadB64"])
-        version = self.rt.secrets.write_secret(path, SecretValue(payload), writer)
+        version = self.rt.secrets.write_secret(path, SecretValue(payloadB64),
+                                               self.rt.systems_identity())
         self.rt.record(f"systems@{self.rt.site_id}", "credentials-stored",
                        target=sys_id, user=username)
         return ok({"version": version}, message="credentials stored", status=201)
 
     # -- retrieval with SAC participation --
 
-    def get_system(self, req, verdict, sys_id):
+    def get_system(self, req, verdict, sys_id, privilege: str = "READ"):
         user = verdict.effective_user
-        privilege = req.query.get("privilege", "READ")
         definition = self.defs.get((user.tenant, sys_id))
         if definition is None:
             raise NotFound(f"no system {sys_id!r} in tenant {user.tenant!r}")
@@ -203,19 +204,13 @@ class AppsApp(ServiceApp):
         super().__init__(runtime)
         self.defs = {}
 
-    def create_app(self, req, verdict):
-        body = req.json()
+    def create_app(self, req, verdict, id: str, execSystem: str, owner: str = None,
+                   storage: storage_entries = (), runAsSac: bool = True):
         user = verdict.effective_user
-        definition = {
-            "id": body["id"],
-            "tenant": user.tenant,
-            "owner": body.get("owner", user.username),
-            "execSystem": body["execSystem"],
-            "storage": body.get("storage", []),
-            "runAsSac": bool(body.get("runAsSac", True)),
-        }
-        self.defs[(user.tenant, body["id"])] = definition
-        self.rt.record(f"apps@{self.rt.site_id}", "app-defined", target=body["id"])
+        definition = {"id": id, "tenant": user.tenant, "owner": owner or user.username,
+                      "execSystem": execSystem, "storage": list(storage), "runAsSac": runAsSac}
+        self.defs[(user.tenant, id)] = definition
+        self.rt.record(f"apps@{self.rt.site_id}", "app-defined", target=id)
         return ok(definition, message="application defined", status=201)
 
     def get_app(self, req, verdict, app_id):
@@ -240,9 +235,8 @@ class AppsApp(ServiceApp):
                        user=user.username, shared=True, grantor=grantor)
         return ok({"definition": definition, "sacGrantor": grantor})
 
-    def share_app(self, req, verdict, app_id):
+    def share_app(self, req, verdict, app_id, grantee: str, privilege: str = "EXECUTE"):
         """Share with share-time access checks over every referenced system."""
-        body = req.json()
         user = verdict.effective_user
         definition = self.defs.get((user.tenant, app_id))
         if definition is None:
@@ -251,10 +245,10 @@ class AppsApp(ServiceApp):
             return fail(403, "NOT_AUTHORIZED", "only the owner shares an application")
         referenced = [(definition["execSystem"], "EXECUTE")]
         referenced += [(e["system"], "READ") for e in definition.get("storage", ())]
-        for system_id, privilege in referenced:
+        for system_id, needed in referenced:
             response = self.rt.service_request(
                 "apps", "GET", user.tenant, f"/v3/systems/{system_id}", obo=user,
-                query={"privilege": privilege})
+                query={"privilege": needed})
             granted = response is not None and response.status_code == 200
             self.rt.record(f"apps@{self.rt.site_id}", "share-time-check", target=system_id,
                            grantor=user.username, ok=granted)
@@ -264,12 +258,13 @@ class AppsApp(ServiceApp):
                             failingSystem=system_id)
         response = self.rt.service_request(
             "apps", "POST", user.tenant, "/v3/security/shares", obo=user,
-            json_body={"grantee": body["grantee"], "resourceType": "application",
-                       "resourceId": app_id, "privilege": body.get("privilege", "EXECUTE")})
-        if response is None or response.status_code != 201:
+            json_body={"grantee": grantee, "resourceType": "application",
+                       "resourceId": app_id, "privilege": privilege})
+        if response is None or response.status_code >= 500:
             return fail(502, "SHARE_FAILED", "share grant could not be recorded")
-        self.rt.record(f"apps@{self.rt.site_id}", "app-shared", target=app_id,
-                       grantee=body["grantee"])
+        if response.status_code != 201:  # the kernel's answer to a client mistake
+            return Response(response.status_code, response.json())
+        self.rt.record(f"apps@{self.rt.site_id}", "app-shared", target=app_id, grantee=grantee)
         return ok(message="application shared", status=201)
 
 
@@ -290,17 +285,13 @@ class FilesApp(ServiceApp):
             "files", "GET", user.tenant, f"/v3/systems/{system_id}", obo=user,
             query={"privilege": privilege}, headers=headers)
 
-    def transfer(self, req, verdict):
-        body = req.json()
+    def transfer(self, req, verdict, srcSystem: str, srcPath: str, dstSystem: str, dstPath: str):
         user = verdict.effective_user
         sac = _sac_headers_of(req)
         if sac and verdict.claims.account_type == "user":
             return fail(403, "SAC_ON_USER_REQUEST",
                         "shared-context headers are honored on service requests only")
-        legs = (
-            (body["srcSystem"], body["srcPath"], "READ"),
-            (body["dstSystem"], body["dstPath"], "MODIFY"),
-        )
+        legs = ((srcSystem, srcPath, "READ"), (dstSystem, dstPath, "MODIFY"))
         resolved = []
         for system_id, path, privilege in legs:
             response = self._fetch_system(req, verdict, system_id, privilege, sac)
@@ -377,8 +368,7 @@ class JobsApp(ServiceApp):
         super().__init__(runtime)
         self._counter = 0
 
-    def submit(self, req, verdict):
-        body = req.json()
+    def submit(self, req, verdict, appId: str, archiveSystem: str = None, archiveDir: str = None):
         user = verdict.effective_user
         self._counter += 1
         job_id = f"job-{self.rt.site_id}-{self._counter}"
@@ -393,7 +383,7 @@ class JobsApp(ServiceApp):
             return ok({"jobId": job_id, "status": "FAILED", "reason": reason, "steps": steps})
 
         app_response = self.rt.service_request(
-            "jobs", "GET", user.tenant, f"/v3/apps/{body['appId']}", obo=user)
+            "jobs", "GET", user.tenant, f"/v3/apps/{appId}", obo=user)
         if app_response is None or app_response.status_code != 200:
             return failed("application not accessible")
         app_result = app_response.json()["result"]
@@ -435,17 +425,17 @@ class JobsApp(ServiceApp):
                           f"to {exec_result['credentialUser']}")
         step("executed", system=app["execSystem"], runAs=exec_result["credentialUser"])
 
-        if body.get("archiveSystem"):
+        if archiveSystem:
             archive = self.rt.service_request(
                 "jobs", "POST", user.tenant, "/v3/files/transfers", obo=user,
                 headers=sac_headers,
                 json_body={"srcSystem": app["execSystem"],
                            "srcPath": f"/scratch/{job_id}/output.csv",
-                           "dstSystem": body["archiveSystem"],
-                           "dstPath": f"{body.get('archiveDir', '/archive')}/output.csv"})
+                           "dstSystem": archiveSystem,
+                           "dstPath": f"{'/archive' if archiveDir is None else archiveDir}/output.csv"})
             if archive is None or archive.status_code != 201:
-                return failed(f"archive to {body['archiveSystem']} failed")
-            step("archived", system=body["archiveSystem"], dir=body.get("archiveDir"))
+                return failed(f"archive to {archiveSystem} failed")
+            step("archived", system=archiveSystem, dir=archiveDir)
 
         step("job-finished")
         return ok({"jobId": job_id, "status": "FINISHED", "steps": steps},

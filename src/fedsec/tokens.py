@@ -305,7 +305,7 @@ class TokenForge:
         allowed = set(snap.sites) if site == primary else {site, primary}
         pairs = {}
         for target in target_sites:
-            if target not in snap.sites:
+            if not isinstance(target, str) or target not in snap.sites:
                 raise UnknownSite(f"no site {target!r}")
             if target not in allowed:
                 raise NotAuthorized(

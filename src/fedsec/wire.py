@@ -7,6 +7,7 @@ request-validation rejections) so clients never parse prose.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qs, urlsplit
@@ -16,6 +17,11 @@ API_VERSION = "1.0"
 
 class BadRequestBody(Exception):
     pass
+
+
+def b64(text) -> bytes:
+    """Field converter: base64 text to bytes, rejecting non-alphabet characters."""
+    return base64.b64decode(text, validate=True)
 
 
 @dataclass
@@ -43,7 +49,7 @@ class Request:
             return {}
         try:
             doc = json.loads(self.body)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise BadRequestBody(f"request body is not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadRequestBody("request body must be a JSON object")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fedsec.sim.federation import build_federation
+from fedsec.sim.federation import TRANSCRIPT_LIMIT, Transcript, build_federation
 from fedsec.sim.presets import penalty_topology, two_site_topology
 from fedsec.sim.scenario import (
     run_sac_walkthrough,
@@ -308,3 +308,16 @@ def test_service_deployed_at_associate_routes_local():
         assert not federation.transcript.find(action="forwarded-to-primary")
     finally:
         federation.close()
+
+
+def test_transcript_keeps_only_the_most_recent_entries():
+    transcript = Transcript()
+    for i in range(TRANSCRIPT_LIMIT + 5):
+        transcript.record("jobs@prime", "step", target=i)
+    entries = transcript.snapshot()
+    assert len(entries) == TRANSCRIPT_LIMIT
+    assert (entries[0]["seq"], entries[0]["target"]) == (5, 5)
+    assert entries[-1]["seq"] == TRANSCRIPT_LIMIT + 4
+    transcript.clear()
+    transcript.record("jobs@prime", "step")
+    assert [e["seq"] for e in transcript.snapshot()] == [0]

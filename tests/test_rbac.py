@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -356,3 +359,75 @@ def test_is_permitted_matches_closure_scan_on_random_dags(svc, seed):
             naive = any(implies(parse_permission(g), req_spec)
                         for role in reachable for g in grants_by_role[role])
             assert svc.is_permitted(user, required) == naive
+
+
+def test_role_chain_deeper_than_the_recursion_limit(svc):
+    names = [f"r{i}" for i in range(1200)]
+    for name in names:
+        svc.create_role("tacc", name, "admin")
+    for parent, child in zip(names, names[1:]):
+        svc.add_child_role("tacc", parent, child)
+    user = UserIdentity("u", "tacc")
+    svc.grant_role(user, names[0], "admin")
+    assert svc.has_role(user, names[-1])
+    assert len(svc.effective_roles("tacc", "u")) == len(names)
+    with pytest.raises(CycleDetected):
+        svc.add_child_role("tacc", names[-1], names[0])
+
+
+class _SlowStore(MemoryRbacStore):
+    """Widens the gap between a cache fill's store read and its publish."""
+
+    def edges(self, tenant):
+        edges = super().edges(tenant)
+        time.sleep(0.0005)
+        return edges
+
+    def permissions_of(self, tenant, role):
+        perms = super().permissions_of(tenant, role)
+        time.sleep(0.0005)
+        return perms
+
+
+def test_caches_never_serve_a_decision_a_finished_write_made_stale():
+    svc = RbacService(_SlowStore())
+    svc.create_role("tacc", "shared", "admin")
+    user = UserIdentity("u", "tacc")
+    svc.grant_role(user, "shared", "admin")
+    stop, errors = threading.Event(), []
+
+    def check_continuously():
+        try:
+            while not stop.is_set():
+                svc.is_permitted(user, "systems:tacc:read:elsewhere")
+                svc.has_role(user, "shared")
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    readers = [threading.Thread(target=check_continuously) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    stale = []
+    try:
+        for reader in readers:
+            reader.start()
+        for i in range(60):
+            permission = f"systems:tacc:read:s{i}"
+            svc.grant_permission("shared", "tacc", permission)
+            if not svc.is_permitted(user, permission):
+                stale.append(f"grant {i}")
+            svc.revoke_permission("shared", "tacc", permission)
+            if svc.is_permitted(user, permission):
+                stale.append(f"revoke {i}")
+            svc.create_role("tacc", f"c{i}", "admin")
+            svc.add_child_role("tacc", "shared", f"c{i}")
+            if not svc.has_role(user, f"c{i}"):
+                stale.append(f"child {i}")
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for reader in readers:
+            reader.join(timeout=10)
+    assert not any(reader.is_alive() for reader in readers)
+    assert errors == []
+    assert stale == []

@@ -4,6 +4,7 @@ One federation serves the whole module; tests create disjoint resources.
 """
 
 import base64
+import hmac
 import json
 from pathlib import Path
 
@@ -299,3 +300,35 @@ def test_sim_direct_probe_only_in_simulator_runtime(fed):
     rejected = plain.handle(*args)
     assert rejected.status == 404
     assert rejected.body["result"]["code"] == "ROUTE_REJECTED"
+
+
+@pytest.mark.parametrize("inputs, status, code", [
+    ({"grantee": "root1"}, 403, "NOT_AUTHORIZED"),
+    ({"grantee": "bob", "privilege": "ADMIN"}, 404, "NOT_FOUND"),
+])
+def test_share_app_passes_the_kernels_client_error_through(fed, tokens, inputs, status, code):
+    fed.request("POST", "tenant1.sim", "/v3/systems", token=tokens["root"],
+                json_body={"id": "shareSys", "kind": "execution"})
+    fed.request("POST", "tenant1.sim", "/v3/apps", token=tokens["root"],
+                json_body={"id": "shareApp", "execSystem": "shareSys"})
+    r = fed.request("POST", "tenant1.sim", "/v3/apps/shareApp/share", token=tokens["root"],
+                    json_body=inputs)
+    assert r.status_code == status, r.text
+    assert r.json()["result"]["code"] == code
+
+
+def test_secret_comparisons_use_compare_digest(fed, monkeypatch):
+    compared, real = [], hmac.compare_digest
+
+    def spy(a, b):
+        compared.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(hmac, "compare_digest", spy)
+    runtime = fed.runtimes["prime"]
+    assert runtime.check_operator("operator-prime")
+    assert not runtime.check_operator("wrong")
+    login = json.dumps({"tenant": "tenant1", "username": "bob", "password": "wrong"}).encode()
+    assert runtime.handle("POST", "tenant1.sim", "/v3/authenticator/tokens", {}, login).status == 401
+    assert compared == [(b"operator-prime", b"operator-prime"), (b"wrong", b"operator-prime"),
+                        (b"pw-bob", b"wrong")]
