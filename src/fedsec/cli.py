@@ -4,6 +4,7 @@ federation simulator driver."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,7 +33,9 @@ def _open_store(config: BootstrapConfig) -> SecretsService:
     else:
         master_key = generate_master_key()
         key_file.parent.mkdir(parents=True, exist_ok=True)
-        key_file.write_bytes(master_key)
+        # Owner-only from creation: the key decrypts every secret of the site.
+        with os.fdopen(os.open(key_file, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "wb") as fh:
+            fh.write(master_key)
         click.echo(f"generated site master key at {key_file}")
     backend = FileKvBackend(config.store_path)
     return SecretsService(backend=backend, master_key=master_key,

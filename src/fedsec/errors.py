@@ -141,6 +141,11 @@ class ResourceNotInSac(SecurityError):
     code = "RESOURCE_NOT_IN_SAC"
 
 
+class SacOnUserRequest(SecurityError):
+    code = "SAC_ON_USER_REQUEST"
+    http_status = 403
+
+
 # --- bootstrap / simulator ---
 
 class ConfigInvalid(SecurityError):

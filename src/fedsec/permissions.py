@@ -40,9 +40,6 @@ from .errors import MalformedPermission, SchemaMismatch, UnknownSchema
 
 WILDCARD = "*"
 
-# A part is either the WILDCARD string or a frozenset of literals.
-PartSet = "frozenset[str] | str"
-
 
 @dataclass(frozen=True)
 class SchemaRule:
@@ -70,9 +67,6 @@ class SchemaRegistry:
     def rule_for(self, schema: str) -> SchemaRule | None:
         return self._rules.get(schema)
 
-    def add(self, rule: SchemaRule) -> None:
-        self._rules[rule.schema] = rule
-
     @classmethod
     def from_config(cls, entries, strict: bool = False) -> "SchemaRegistry":
         """Build from configuration dicts: [{"schema": ..., "path_part_index": ...}, ...]."""
@@ -96,9 +90,6 @@ class PermissionSpec:
     def is_concrete(self) -> bool:
         """True when every part is a single literal (a valid request)."""
         return all(p is not WILDCARD and isinstance(p, frozenset) and len(p) == 1 for p in self.parts)
-
-    def canonical(self) -> str:
-        return canonicalize(self)
 
 
 def _parse_part(chunk: str) -> "frozenset[str] | str":

@@ -15,6 +15,7 @@ both parties unauthorized (the job aborts).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,6 +24,12 @@ from .presets import walkthrough_topology
 
 WALKTHROUGH_BRANCHES = ("nominal", "missing-grantee-credentials",
                         "grantor-revoked-fallback", "both-unauthorized")
+
+
+def grant_role_name(tenant: str, username: str, permission: str) -> str:
+    """The one-permission role a scenario grant goes through; the same in every process."""
+    digest = hashlib.sha256("\n".join((tenant, username, permission)).encode()).hexdigest()
+    return f"grant-{digest[:12]}"
 
 
 class ScenarioRunner:
@@ -73,8 +80,7 @@ class ScenarioRunner:
     def _act_grant_user_permission(self, actor, params):
         """Tenant-admin composite: a one-permission role granted to the user."""
         username, permission = params["username"], params["permission"]
-        key = (actor.partition("@")[2], username, permission)
-        role = f"grant-{abs(hash(key)) % 10 ** 8}"
+        role = grant_role_name(actor.partition("@")[2], username, permission)
         self._perm_roles[(username, permission)] = role
         r = self._call(actor, "POST", "/v3/security/roles",
                        json_body={"roleName": role, "description": "scenario grant"})

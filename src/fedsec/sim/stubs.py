@@ -8,14 +8,16 @@ inputs, runs, and archives outputs.
 
 Every inter-service hop is a real HTTP service request carrying the
 caller's service token for the receiving site plus on-behalf-of headers,
-and lands in the federation transcript.
+and lands in the federation transcript. Every permission and share
+question goes to the security kernel of the tenant's owning site.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 
-from ..errors import NotFound, SecurityError
+from ..errors import NotFound, ResourceNotInSac, SacOnUserRequest, SecurityError
 from ..secrets import SecretCategory, SecretPath, SecretValue
 from ..service import ServiceApp, rejection_response
 from ..sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER, AccessOutcome, SacDescriptor
@@ -33,15 +35,52 @@ def storage_entries(value) -> list:
     return value
 
 
-def _sac_headers_of(req):
-    grantor = req.header(SAC_GRANTOR_HEADER.lower())
-    app_id = req.header(SAC_APP_HEADER.lower())
-    if grantor and app_id:
-        return {"grantor": grantor, "app": app_id}
-    return None
+class _StubApp(ServiceApp):
+    """What the stubs share: service calls, transcript records, the two
+    kernel questions and the shared-context headers."""
+
+    def call(self, method, path, user, *, query=None, json_body=None, headers=None):
+        """A service request on ``user``'s behalf in ``user``'s tenant, as
+        (status, envelope); (None, {}) when no federation is wired in."""
+        response = self.rt.service_request(self.name, method, user.tenant, path, obo=user,
+                                           json_body=json_body, query=query, headers=headers)
+        if response is None:
+            return None, {}
+        return response.status_code, response.json()
+
+    def record(self, action, **detail):
+        self.rt.record(f"{self.name}@{self.rt.site_id}", action, **detail)
+
+    def permitted(self, user, username, permission) -> bool:
+        """The tenant kernel's isPermitted for ``username``."""
+        status, body = self.call("POST", "/v3/security/perms/isPermitted", user,
+                                 json_body={"tenant": user.tenant, "username": username,
+                                            "permission": permission})
+        return status == 200 and body["result"]["isPermitted"]
+
+    def shared_with(self, user, resource_type, resource_id, username, privilege):
+        """The tenant kernel's isSharedWith for ``username``: (shared, grantor)."""
+        status, body = self.call("GET", "/v3/security/shares/isSharedWith", user,
+                                 query={"resourceType": resource_type, "resourceId": resource_id,
+                                        "username": username, "privilege": privilege})
+        if status != 200:
+            return False, None
+        return body["result"]["shared"], body["result"]["grantor"]
+
+    @staticmethod
+    def sac_headers(req, verdict) -> dict:
+        """The request's shared-context headers, ready to forward; {} unless
+        both are present. User tokens may not carry them."""
+        grantor = req.header(SAC_GRANTOR_HEADER)
+        app_id = req.header(SAC_APP_HEADER)
+        if not (grantor and app_id):
+            return {}
+        if verdict.claims.account_type == "user":
+            raise SacOnUserRequest("shared-context headers are honored on service requests only")
+        return {SAC_GRANTOR_HEADER: grantor, SAC_APP_HEADER: app_id}
 
 
-class SystemsApp(ServiceApp):
+class SystemsApp(_StubApp):
     name = "systems"
 
     ROUTES = (
@@ -60,8 +99,7 @@ class SystemsApp(ServiceApp):
         definition = {"id": id, "tenant": user.tenant, "owner": owner or user.username,
                       "kind": kind, "credentialUser": credentialUser}
         self.defs[(user.tenant, id)] = definition
-        self.rt.record(f"systems@{self.rt.site_id}", "system-defined",
-                       target=id, tenant=user.tenant)
+        self.record("system-defined", target=id, tenant=user.tenant)
         return ok(definition, message="system defined", status=201)
 
     def store_credentials(self, req, verdict, sys_id, payloadB64: b64, username: str = None):
@@ -72,8 +110,7 @@ class SystemsApp(ServiceApp):
         path = SecretPath(user.tenant, SecretCategory.SYSTEM_CREDENTIAL, username, sys_id)
         version = self.rt.secrets.write_secret(path, SecretValue(payloadB64),
                                                self.rt.systems_identity())
-        self.rt.record(f"systems@{self.rt.site_id}", "credentials-stored",
-                       target=sys_id, user=username)
+        self.record("credentials-stored", target=sys_id, user=username)
         return ok({"version": version}, message="credentials stored", status=201)
 
     # -- retrieval with SAC participation --
@@ -84,14 +121,10 @@ class SystemsApp(ServiceApp):
         if definition is None:
             raise NotFound(f"no system {sys_id!r} in tenant {user.tenant!r}")
 
-        sac = _sac_headers_of(req)
-        if sac and verdict.claims.account_type == "user":
-            return fail(403, "SAC_ON_USER_REQUEST",
-                        "shared-context headers are honored on service requests only")
-
+        sac = self.sac_headers(req, verdict)
         sac_outcome = None
         if sac:
-            descriptor = self._sac_descriptor(req, verdict, sac)
+            descriptor = self._sac_descriptor(user, sac)
             if descriptor is None:
                 return fail(403, "SAC_UNRESOLVED", "shared application context could not be loaded")
             # Context access is judged at the level the application declared
@@ -101,28 +134,23 @@ class SystemsApp(ServiceApp):
             try:
                 outcome = self.rt.sharing.resolve_sac_access(
                     descriptor, user.username, ("system", sys_id), sac_privilege,
-                    self._authorized_checker(req, verdict))
-            except SecurityError as exc:
-                if exc.code == "RESOURCE_NOT_IN_SAC":
-                    self.rt.record(f"systems@{self.rt.site_id}", "sac-miss", target=sys_id,
-                                   sac=True, detail="standard authorization required")
-                    outcome = None
-                else:
-                    raise
+                    functools.partial(self.authorized, user))
+            except ResourceNotInSac:
+                self.record("sac-miss", target=sys_id, sac=True,
+                            detail="standard authorization required")
+                outcome = None
             if outcome is AccessOutcome.DENIED:
-                self.rt.record(f"systems@{self.rt.site_id}", "sac-denied", target=sys_id, sac=True)
+                self.record("sac-denied", target=sys_id, sac=True)
                 return fail(403, "SAC_DENIED",
                             "neither the context grantor nor the requester is authorized")
             if outcome is not None:
                 sac_outcome = outcome.value
-                self.rt.record(f"systems@{self.rt.site_id}", "sac-authorized", target=sys_id,
-                               sac=True, outcome=sac_outcome, grantor=sac["grantor"])
+                self.record("sac-authorized", target=sys_id, sac=True, outcome=sac_outcome,
+                            grantor=descriptor.grantor)
 
-        if sac_outcome is None:
-            # Standard authorization: owner, direct share, or permission.
-            if not self._standard_authorized(req, verdict, definition, sys_id, privilege):
-                return fail(403, "NOT_AUTHORIZED",
-                            f"{user.username} lacks {privilege} on {sys_id}")
+        if sac_outcome is None and not self.authorized(user, user.username, "system", sys_id,
+                                                       privilege):
+            return fail(403, "NOT_AUTHORIZED", f"{user.username} lacks {privilege} on {sys_id}")
 
         credential_user = definition["credentialUser"]
         if credential_user == TEMPLATE_REQUESTER:
@@ -136,10 +164,9 @@ class SystemsApp(ServiceApp):
         except SecurityError:
             credential_present = False
             credential_b64 = None
-        self.rt.record(f"systems@{self.rt.site_id}", "credential-resolved", target=sys_id,
-                       sac=sac is not None, credential_user=credential_user,
-                       present=credential_present,
-                       templated=definition["credentialUser"] == TEMPLATE_REQUESTER)
+        self.record("credential-resolved", target=sys_id, sac=bool(sac),
+                    credential_user=credential_user, present=credential_present,
+                    templated=definition["credentialUser"] == TEMPLATE_REQUESTER)
         return ok({
             "definition": definition,
             "credentialUser": credential_user,
@@ -148,50 +175,33 @@ class SystemsApp(ServiceApp):
             "sac": sac_outcome or ("not-in-sac" if sac else None),
         })
 
-    def _sac_descriptor(self, req, verdict, sac):
-        """Rebuild the shared context from the application definition."""
-        user = verdict.effective_user
-        response = self.rt.service_request(
-            "systems", "GET", user.tenant, f"/v3/apps/{sac['app']}", obo=user)
-        if response is None or response.status_code != 200:
+    def _sac_descriptor(self, user, sac):
+        """Rebuild the shared context from the apps service's answer; None when
+        it cannot be loaded or names another grantor than the header does."""
+        status, body = self.call("GET", f"/v3/apps/{sac[SAC_APP_HEADER]}", user)
+        if status != 200 or body["result"]["sacGrantor"] != sac[SAC_GRANTOR_HEADER]:
             return None
-        app = response.json()["result"]["definition"]
+        app = body["result"]["definition"]
         resources = {("system", app["execSystem"], None)}
         for entry in app.get("storage", ()):
             resources.add(("system", entry["system"], None))
             resources.add(("path", f"{entry['system']}:{entry['path']}", entry["path"]))
-        return SacDescriptor(grantor=sac["grantor"], app_id=sac["app"],
+        return SacDescriptor(grantor=body["result"]["sacGrantor"], app_id=app["id"],
                              tenant=user.tenant, shared_resources=frozenset(resources))
 
-    def _authorized_checker(self, req, verdict):
-        user = verdict.effective_user
-
-        def authorized(username, resource_type, resource_id, privilege):
-            definition = self.defs.get((user.tenant, resource_id))
-            if definition is not None and definition["owner"] == username:
-                return True
-            permission = f"systems:{user.tenant}:{privilege.lower()}:{resource_id}"
-            response = self.rt.service_request(
-                "systems", "POST", user.tenant, "/v3/security/perms/isPermitted",
-                obo=user, json_body={"tenant": user.tenant, "username": username,
-                                     "permission": permission})
-            return bool(response is not None and response.status_code == 200
-                        and response.json()["result"]["isPermitted"])
-
-        return authorized
-
-    def _standard_authorized(self, req, verdict, definition, sys_id, privilege):
-        user = verdict.effective_user
-        if definition["owner"] == user.username:
+    def authorized(self, user, username, resource_type, resource_id, privilege) -> bool:
+        """Whether ``username`` holds ``privilege`` on a system: its owner, else
+        the kernel's isPermitted, else the kernel's isSharedWith. The kernel is
+        asked on ``user``'s behalf."""
+        definition = self.defs.get((user.tenant, resource_id))
+        if definition is not None and definition["owner"] == username:
             return True
-        shared, _ = self.rt.sharing.is_shared_with(user.tenant, "system", sys_id,
-                                                   user.username, privilege)
-        if shared:
-            return True
-        return self._authorized_checker(req, verdict)(user.username, "system", sys_id, privilege)
+        permission = f"systems:{user.tenant}:{privilege.lower()}:{resource_id}"
+        return (self.permitted(user, username, permission)
+                or self.shared_with(user, resource_type, resource_id, username, privilege)[0])
 
 
-class AppsApp(ServiceApp):
+class AppsApp(_StubApp):
     name = "apps"
 
     ROUTES = (
@@ -210,7 +220,7 @@ class AppsApp(ServiceApp):
         definition = {"id": id, "tenant": user.tenant, "owner": owner or user.username,
                       "execSystem": execSystem, "storage": list(storage), "runAsSac": runAsSac}
         self.defs[(user.tenant, id)] = definition
-        self.rt.record(f"apps@{self.rt.site_id}", "app-defined", target=id)
+        self.record("app-defined", target=id)
         return ok(definition, message="application defined", status=201)
 
     def get_app(self, req, verdict, app_id):
@@ -220,19 +230,12 @@ class AppsApp(ServiceApp):
             raise NotFound(f"no application {app_id!r} in tenant {user.tenant!r}")
         if definition["owner"] == user.username:
             return ok({"definition": definition, "sacGrantor": None})
-        response = self.rt.service_request(
-            "apps", "GET", user.tenant, "/v3/security/shares/isSharedWith", obo=user,
-            query={"resourceType": "application", "resourceId": app_id,
-                   "username": user.username, "privilege": "EXECUTE"})
-        shared = (response is not None and response.status_code == 200
-                  and response.json()["result"]["shared"])
+        shared, grantor = self.shared_with(user, "application", app_id, user.username, "EXECUTE")
         if not shared:
-            self.rt.record(f"apps@{self.rt.site_id}", "share-check", target=app_id,
-                           user=user.username, shared=False)
+            self.record("share-check", target=app_id, user=user.username, shared=False)
             return fail(403, "NOT_AUTHORIZED", f"{app_id} is not shared with {user.username}")
-        grantor = response.json()["result"]["grantor"]
-        self.rt.record(f"apps@{self.rt.site_id}", "share-check", target=app_id,
-                       user=user.username, shared=True, grantor=grantor)
+        self.record("share-check", target=app_id, user=user.username, shared=True,
+                    grantor=grantor)
         return ok({"definition": definition, "sacGrantor": grantor})
 
     def share_app(self, req, verdict, app_id, grantee: str, privilege: str = "EXECUTE"):
@@ -246,29 +249,26 @@ class AppsApp(ServiceApp):
         referenced = [(definition["execSystem"], "EXECUTE")]
         referenced += [(e["system"], "READ") for e in definition.get("storage", ())]
         for system_id, needed in referenced:
-            response = self.rt.service_request(
-                "apps", "GET", user.tenant, f"/v3/systems/{system_id}", obo=user,
-                query={"privilege": needed})
-            granted = response is not None and response.status_code == 200
-            self.rt.record(f"apps@{self.rt.site_id}", "share-time-check", target=system_id,
-                           grantor=user.username, ok=granted)
+            status, _ = self.call("GET", f"/v3/systems/{system_id}", user,
+                                  query={"privilege": needed})
+            granted = status == 200
+            self.record("share-time-check", target=system_id, grantor=user.username, ok=granted)
             if not granted:
                 return fail(403, "SHARE_TIME_CHECK_FAILED",
                             f"grantor lacks access to system {system_id!r}",
                             failingSystem=system_id)
-        response = self.rt.service_request(
-            "apps", "POST", user.tenant, "/v3/security/shares", obo=user,
-            json_body={"grantee": grantee, "resourceType": "application",
-                       "resourceId": app_id, "privilege": privilege})
-        if response is None or response.status_code >= 500:
+        status, body = self.call("POST", "/v3/security/shares", user,
+                                 json_body={"grantee": grantee, "resourceType": "application",
+                                            "resourceId": app_id, "privilege": privilege})
+        if status is None or status >= 500:
             return fail(502, "SHARE_FAILED", "share grant could not be recorded")
-        if response.status_code != 201:  # the kernel's answer to a client mistake
-            return Response(response.status_code, response.json())
-        self.rt.record(f"apps@{self.rt.site_id}", "app-shared", target=app_id, grantee=grantee)
+        if status != 201:  # the kernel's answer to a client mistake
+            return Response(status, body)
+        self.record("app-shared", target=app_id, grantee=grantee)
         return ok(message="application shared", status=201)
 
 
-class FilesApp(ServiceApp):
+class FilesApp(_StubApp):
     name = "files"
 
     ROUTES = (
@@ -276,44 +276,26 @@ class FilesApp(ServiceApp):
         ("GET", "/v3/files/content/{system}/{file_path:path}", "open", "content"),
     )
 
-    def _fetch_system(self, req, verdict, system_id, privilege, sac):
-        user = verdict.effective_user
-        headers = {}
-        if sac:
-            headers = {SAC_GRANTOR_HEADER: sac["grantor"], SAC_APP_HEADER: sac["app"]}
-        return self.rt.service_request(
-            "files", "GET", user.tenant, f"/v3/systems/{system_id}", obo=user,
-            query={"privilege": privilege}, headers=headers)
-
     def transfer(self, req, verdict, srcSystem: str, srcPath: str, dstSystem: str, dstPath: str):
         user = verdict.effective_user
-        sac = _sac_headers_of(req)
-        if sac and verdict.claims.account_type == "user":
-            return fail(403, "SAC_ON_USER_REQUEST",
-                        "shared-context headers are honored on service requests only")
+        sac = self.sac_headers(req, verdict)
         legs = ((srcSystem, srcPath, "READ"), (dstSystem, dstPath, "MODIFY"))
         resolved = []
         for system_id, path, privilege in legs:
-            response = self._fetch_system(req, verdict, system_id, privilege, sac)
-            if response is None or response.status_code != 200:
-                detail = response.json()["result"] if response is not None else {}
+            status, body = self.call("GET", f"/v3/systems/{system_id}", user,
+                                     query={"privilege": privilege}, headers=sac)
+            if status != 200:
                 return fail(403, "TRANSFER_DENIED",
                             f"system {system_id!r} refused {privilege}",
-                            system=system_id, cause=detail.get("code"))
-            result = response.json()["result"]
+                            system=system_id, cause=body.get("result", {}).get("code"))
+            result = body["result"]
             in_sac = result["sac"] in ("grantor-authorized", "grantee-authorized")
             if not in_sac:
                 # Outside the shared context the requester needs a file permission.
                 permission = f"files:{user.tenant}:{privilege.lower()}:{system_id}:{path}"
-                check = self.rt.service_request(
-                    "files", "POST", user.tenant, "/v3/security/perms/isPermitted", obo=user,
-                    json_body={"tenant": user.tenant, "username": user.username,
-                               "permission": permission})
-                permitted = (check is not None and check.status_code == 200
-                             and check.json()["result"]["isPermitted"])
-                self.rt.record(f"files@{self.rt.site_id}", "file-permission-check",
-                               target=f"{system_id}:{path}", user=user.username,
-                               permission=permission, permitted=permitted)
+                permitted = self.permitted(user, user.username, permission)
+                self.record("file-permission-check", target=f"{system_id}:{path}",
+                            user=user.username, permission=permission, permitted=permitted)
                 if not permitted:
                     return fail(403, "NOT_AUTHORIZED",
                                 f"{user.username} lacks {privilege} on {system_id}:{path}")
@@ -322,15 +304,15 @@ class FilesApp(ServiceApp):
                             f"no credentials for {result['credentialUser']} on {system_id}",
                             system=system_id)
             if not self.rt.host_allows(system_id, result["credentialUser"], privilege):
-                self.rt.record(f"files@{self.rt.site_id}", "host-acl-denied", target=system_id,
-                               user=result["credentialUser"], privilege=privilege)
+                self.record("host-acl-denied", target=system_id,
+                            user=result["credentialUser"], privilege=privilege)
                 return fail(403, "HOST_DENIED",
                             f"host {system_id} refuses {privilege} to {result['credentialUser']}",
                             system=system_id)
             resolved.append({"system": system_id, "path": path,
                              "credentialUser": result["credentialUser"], "sac": result["sac"]})
-        self.rt.record(f"files@{self.rt.site_id}", "transfer", sac=sac is not None,
-                       src=f"{legs[0][0]}:{legs[0][1]}", dst=f"{legs[1][0]}:{legs[1][1]}")
+        self.record("transfer", sac=bool(sac),
+                    src=f"{legs[0][0]}:{legs[0][1]}", dst=f"{legs[1][0]}:{legs[1][1]}")
         return ok({"transferred": True, "legs": resolved}, message="transfer complete", status=201)
 
     def content(self, req, verdict, system, file_path):
@@ -342,8 +324,7 @@ class FilesApp(ServiceApp):
             if not verdict.accepted:
                 return rejection_response(verdict)
             user = verdict.effective_user
-            permission = f"files:{user.tenant}:read:{system}:{path}"
-            if not self.rt.rbac.subject_is_permitted(user.tenant, user.username, permission):
+            if not self.permitted(user, user.username, f"files:{user.tenant}:read:{system}:{path}"):
                 return fail(403, "NOT_AUTHORIZED", "no read permission")
             return ok({"system": system, "path": path, "content": "simulated-bytes"})
         if "files-content" not in self.rt.no_authn_routes:
@@ -353,11 +334,11 @@ class FilesApp(ServiceApp):
             return fail(404, "UNKNOWN_TENANT", "cannot resolve tenant from host")
         if not self.rt.sharing.is_no_authn_shared(tenant.tenant_id, "path", f"{system}:{path}", "READ"):
             return fail(401, "REQUEST_VALIDATION_FAILED", "resource is not shared for URL access")
-        self.rt.record(f"files@{self.rt.site_id}", "no-authn-read", target=f"{system}:{path}")
+        self.record("no-authn-read", target=f"{system}:{path}")
         return ok({"system": system, "path": path, "content": "simulated-bytes"})
 
 
-class JobsApp(ServiceApp):
+class JobsApp(_StubApp):
     name = "jobs"
 
     ROUTES = (
@@ -376,33 +357,28 @@ class JobsApp(ServiceApp):
 
         def step(name, **detail):
             steps.append({"step": name, **detail})
-            self.rt.record(f"jobs@{self.rt.site_id}", name, **detail)
+            self.record(name, **detail)
 
         def failed(reason):
             step("job-failed", reason=reason)
             return ok({"jobId": job_id, "status": "FAILED", "reason": reason, "steps": steps})
 
-        app_response = self.rt.service_request(
-            "jobs", "GET", user.tenant, f"/v3/apps/{appId}", obo=user)
-        if app_response is None or app_response.status_code != 200:
+        status, body = self.call("GET", f"/v3/apps/{appId}", user)
+        if status != 200:
             return failed("application not accessible")
-        app_result = app_response.json()["result"]
-        app = app_result["definition"]
-        grantor = app_result["sacGrantor"]
-        sac = {"grantor": grantor, "app": app["id"]} if (grantor and app["runAsSac"]) else None
+        app, grantor = body["result"]["definition"], body["result"]["sacGrantor"]
         step("application-retrieved", app=app["id"], sacGrantor=grantor)
 
-        sac_headers = {}
-        if sac:
-            sac_headers = {SAC_GRANTOR_HEADER: sac["grantor"], SAC_APP_HEADER: sac["app"]}
-            step("sac-established", grantor=sac["grantor"], app=sac["app"])
+        sac = {}
+        if grantor and app["runAsSac"]:
+            sac = {SAC_GRANTOR_HEADER: grantor, SAC_APP_HEADER: app["id"]}
+            step("sac-established", grantor=grantor, app=app["id"])
 
-        exec_response = self.rt.service_request(
-            "jobs", "GET", user.tenant, f"/v3/systems/{app['execSystem']}", obo=user,
-            query={"privilege": "EXECUTE"}, headers=sac_headers)
-        if exec_response is None or exec_response.status_code != 200:
+        status, body = self.call("GET", f"/v3/systems/{app['execSystem']}", user,
+                                 query={"privilege": "EXECUTE"}, headers=sac)
+        if status != 200:
             return failed("execution system authorization failed")
-        exec_result = exec_response.json()["result"]
+        exec_result = body["result"]
         if not exec_result["credentialPresent"]:
             return failed(f"no credentials for {exec_result['credentialUser']} "
                           f"on {app['execSystem']}")
@@ -410,13 +386,11 @@ class JobsApp(ServiceApp):
              credentialUser=exec_result["credentialUser"], sac=exec_result["sac"])
 
         for entry in app.get("storage", ()):
-            stage = self.rt.service_request(
-                "jobs", "POST", user.tenant, "/v3/files/transfers", obo=user,
-                headers=sac_headers,
-                json_body={"srcSystem": entry["system"], "srcPath": entry["path"],
-                           "dstSystem": app["execSystem"],
-                           "dstPath": f"/scratch/{job_id}/input"})
-            if stage is None or stage.status_code != 201:
+            status, _ = self.call("POST", "/v3/files/transfers", user, headers=sac,
+                                  json_body={"srcSystem": entry["system"], "srcPath": entry["path"],
+                                             "dstSystem": app["execSystem"],
+                                             "dstPath": f"/scratch/{job_id}/input"})
+            if status != 201:
                 return failed(f"stage-in from {entry['system']} failed")
             step("input-staged", src=entry["system"], path=entry["path"])
 
@@ -426,14 +400,13 @@ class JobsApp(ServiceApp):
         step("executed", system=app["execSystem"], runAs=exec_result["credentialUser"])
 
         if archiveSystem:
-            archive = self.rt.service_request(
-                "jobs", "POST", user.tenant, "/v3/files/transfers", obo=user,
-                headers=sac_headers,
+            status, _ = self.call(
+                "POST", "/v3/files/transfers", user, headers=sac,
                 json_body={"srcSystem": app["execSystem"],
                            "srcPath": f"/scratch/{job_id}/output.csv",
                            "dstSystem": archiveSystem,
                            "dstPath": f"{'/archive' if archiveDir is None else archiveDir}/output.csv"})
-            if archive is None or archive.status_code != 201:
+            if status != 201:
                 return failed(f"archive to {archiveSystem} failed")
             step("archived", system=archiveSystem, dir=archiveDir)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import threading
 import time
 import uuid
@@ -230,6 +231,9 @@ class FileTombstones:
             self._used.add(jti)
             with self.path.open("a") as fh:
                 fh.write(jti + "\n")
+                # On disk before the caller honors the token, so a crash cannot replay it.
+                fh.flush()
+                os.fsync(fh.fileno())
             return True
 
 

@@ -1,9 +1,16 @@
 """Federation integration: walkthrough branches, routing, startup flows."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedsec
+from fedsec.identity import UserIdentity
+from fedsec.sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER
 from fedsec.sim.federation import TRANSCRIPT_LIMIT, Transcript, build_federation
 from fedsec.sim.presets import penalty_topology, two_site_topology
 from fedsec.sim.scenario import (
@@ -82,6 +89,65 @@ def test_share_time_check_blocks_unauthorized_grantor(walkthrough_fed):
     steps[share_index]["expect"] = {"status_code": 403, "error_code": "SHARE_TIME_CHECK_FAILED"}
     result = run_scenario(walkthrough_fed, steps[: share_index + 1])
     assert result["outcomes"][-1]["result"]["failingSystem"] == "execSys"
+
+
+def test_sac_grantor_comes_from_the_apps_service(walkthrough_fed):
+    run_sac_walkthrough(walkthrough_fed, "both-unauthorized")
+    runtime = walkthrough_fed.runtimes["prime"]
+
+    def fetch_exec_system(grantor):
+        return runtime.service_request(
+            "jobs", "GET", "tenant1", "/v3/systems/execSys", obo=UserIdentity("bob", "tenant1"),
+            query={"privilege": "EXECUTE"},
+            headers={SAC_GRANTOR_HEADER: grantor, SAC_APP_HEADER: "aliceApp"})
+
+    # sysop owns execSys but never shared aliceApp: naming it as the grantor
+    # must not lend bob the owner's access.
+    forged = fetch_exec_system("sysop")
+    assert forged.status_code == 403
+    assert forged.json()["result"]["code"] == "SAC_UNRESOLVED"
+    real = fetch_exec_system("alice")
+    assert real.status_code == 403
+    assert real.json()["result"]["code"] == "SAC_DENIED"
+
+
+def test_system_share_is_answered_by_the_tenants_kernel(walkthrough_fed):
+    fed = walkthrough_fed
+    alice, bob = fed.login("tenant1", "alice"), fed.login("tenant1", "bob")
+    assert fed.request("POST", "tenant1.sim", "/v3/systems", token=alice,
+                       json_body={"id": "labSys"}).status_code == 201
+    share = {"grantee": "bob", "resourceType": "system", "resourceId": "labSys",
+             "privilege": "READ"}
+    assert fed.request("POST", "tenant1.sim", "/v3/security/shares", token=alice,
+                       json_body=share).status_code == 201
+    fed.transcript.clear()
+    assert fed.request("GET", "tenant1.sim", "/v3/systems/labSys", token=bob).status_code == 200
+    # Without a permission, the share decides, and the kernel owns shares.
+    asked = [e["target"] for e in fed.transcript.find(action="service-call", actor="systems@prime")]
+    assert asked == ["security-kernel@prime/v3/security/perms/isPermitted",
+                     "security-kernel@prime/v3/security/shares/isSharedWith"]
+    assert fed.request("POST", "tenant1.sim", "/v3/security/shares/revoke", token=alice,
+                       json_body=share).status_code == 200
+    denied = fed.request("GET", "tenant1.sim", "/v3/systems/labSys", token=bob)
+    assert denied.status_code == 403
+    assert denied.json()["result"]["code"] == "NOT_AUTHORIZED"
+
+
+def test_grant_role_names_do_not_depend_on_the_hash_seed():
+    from fedsec.sim.scenario import grant_role_name
+
+    code = ("from fedsec.sim.scenario import grant_role_name; "
+            "print(grant_role_name('tenant1', 'alice', 'systems:tenant1:execute:execSys'))")
+    src = str(Path(fedsec.__file__).resolve().parents[1])
+    names = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        names.append(run.stdout.strip())
+    assert names[0] == names[1] == grant_role_name(
+        "tenant1", "alice", "systems:tenant1:execute:execSys")
 
 
 def test_transcript_determinism():

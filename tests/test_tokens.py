@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,3 +248,17 @@ def test_file_tombstones_persist(tmp_path):
     t2 = FileTombstones(path)
     assert t2.consume("jti-1") is False
     assert t2.consume("jti-2") is True
+
+
+def test_file_tombstone_is_synced_before_consume_returns(tmp_path, monkeypatch):
+    path = tmp_path / "tombstones.txt"
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        real_fsync(fd)
+        synced.append(path.read_text())  # what a crash right after fsync would keep
+
+    monkeypatch.setattr(os, "fsync", spy)
+    assert FileTombstones(path).consume("jti-1") is True
+    assert synced == ["jti-1\n"]
