@@ -128,15 +128,6 @@ class MalformedToken(SecurityError):
 
 # --- sharing ---
 
-class ShareTimeCheckFailed(SecurityError):
-    code = "SHARE_TIME_CHECK_FAILED"
-    http_status = 403
-
-    def __init__(self, message: str = "", failing_system: str | None = None):
-        super().__init__(message)
-        self.failing_system = failing_system
-
-
 class ResourceNotInSac(SecurityError):
     code = "RESOURCE_NOT_IN_SAC"
 

@@ -315,8 +315,7 @@ class SecretsService:
                 "metadata": value.metadata,
             })
         records.sort(key=lambda r: (r["path"], r["version"]))
-        lines = [json.dumps(r, sort_keys=True) for r in records]
-        return self._fernet.encrypt("\n".join(lines).encode())
+        return encrypt_backup(records, self.master_key)
 
     def ping(self) -> bool:
         try:
@@ -325,8 +324,15 @@ class SecretsService:
             return False
 
 
+def encrypt_backup(records, master_key: bytes) -> bytes:
+    """The archive format: JSON records, one per line, in one authenticated-
+    encryption envelope under ``master_key``."""
+    lines = [json.dumps(r, sort_keys=True) for r in records]
+    return Fernet(master_key).encrypt("\n".join(lines).encode())
+
+
 def decrypt_backup(archive: bytes, master_key: bytes):
-    """Decode an export archive back into its version records."""
+    """Decode an archive back into its records."""
     try:
         text = Fernet(master_key).decrypt(archive).decode()
     except InvalidToken as exc:

@@ -24,7 +24,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import NotAuthorized, SecurityError, StartupError
 from .gatekeeper import InboundRequest, validate_request
-from .identity import Caller, UserIdentity
+from .identity import OPERATOR, Caller, UserIdentity
 from .rbac import TENANT_ADMIN_ROLE
 from .router import RouteKind, forward, route
 from .secrets import SecretCategory, SecretPath, SecretValue
@@ -209,9 +209,9 @@ class SecurityKernelApp(ServiceApp):
 
     def is_shared_with(self, req, verdict, resourceType: str, resourceId: str, privilege: str,
                        username: str = None):
-        user = verdict.effective_user
+        tenant, username = self._queried_subject(verdict, None, username)
         shared, grantor = self.rt.sharing.is_shared_with(
-            user.tenant, resourceType, resourceId, username or user.username, privilege)
+            tenant, resourceType, resourceId, username, privilege)
         return ok({"shared": shared, "grantor": grantor})
 
     def revoke_share(self, req, verdict, grantee: str, resourceType: str, resourceId: str,
@@ -247,8 +247,7 @@ class SecurityKernelApp(ServiceApp):
     def export_vault(self, req, verdict, scope: str = "site", scopeId: str = None):
         if not self.rt.check_operator(req.header("X-Operator-Credential", "")):
             return fail(403, "NOT_AUTHORIZED", "operator credential required")
-        archive = self.rt.secrets.export_backup(scope, scopeId or self.rt.site_id,
-                                                Caller("operator", "-", "operator"))
+        archive = self.rt.secrets.export_backup(scope, scopeId or self.rt.site_id, OPERATOR)
         return ok({"archiveB64": base64.b64encode(archive).decode()})
 
     # -- health --
@@ -389,9 +388,6 @@ class SiteRuntime:
         return self.service_request_fn(self.site_id, from_service, method, tenant, path,
                                        obo=obo, json_body=json_body, query=query,
                                        headers=headers)
-
-    def systems_identity(self) -> Caller:
-        return Caller(name="systems", tenant=self.config.admin_tenant, kind="service")
 
     # -- request entry point --
 

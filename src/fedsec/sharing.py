@@ -3,18 +3,18 @@
 A share lets a grantor extend access to one resource; the distinguished
 grantees ``~public`` (every user in the tenant) and ``~public-no-authn``
 (unauthenticated URL access, honored only by specially flagged routes)
-widen the audience. Shares on applications are checked at share time:
-the grantor must currently hold access to every system the application
-definition references, closing the privilege-escalation hole where a
-grantee would inherit access the grantor never had.
+widen the audience. Each site's security kernel stores its tenants'
+shares here and answers isSharedWith from them; services ask that kernel
+rather than a store of their own. The apps service checks an application
+share at share time (``sim.stubs.AppsApp.share_app``).
 
 A SAC is the runtime form of an application share: while a job runs,
 the resources named in the application definition resolve through the
-grantor's authorizations. The grantor's access is re-checked at every
-resolution; when it has lapsed, the requester's own access (ownership,
-a direct share, or a permission) decides, and with neither the access
-is denied. Resources absent from the application definition never
-resolve through the SAC path.
+grantor's authorizations. Resolution asks one callback, the resource
+service's own access check (ownership, a permission, or a share), first
+for the grantor and then, when the grantor's access has lapsed, for the
+requester; with neither the access is denied. Resources absent from the
+application definition never resolve through the SAC path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotAuthorized, NotFound, ResourceNotInSac, ShareTimeCheckFailed
+from .errors import NotAuthorized, NotFound, ResourceNotInSac
 from .identity import Caller
 
 PUBLIC_TENANT = "~public"
@@ -58,7 +58,6 @@ class ShareGrant:
 class SacDescriptor:
     grantor: str
     app_id: str
-    tenant: str
     shared_resources: frozenset  # of (resource_type, resource_id, path-or-None)
 
     def contains(self, resource_type: str, resource_id: str) -> bool:
@@ -81,17 +80,10 @@ class SharingService:
 
     # -- grants --
 
-    def create_share(self, grant: ShareGrant, caller: Caller,
-                     referenced_systems=(), access_checker=None):
-        """Record a grant; application shares re-check the grantor's access
-        to every referenced system first and name the failing one."""
+    def create_share(self, grant: ShareGrant, caller: Caller):
+        """Record a grant; only its grantor may."""
         if not (caller.name == grant.grantor and caller.tenant == grant.tenant):
             raise NotAuthorized("only the grantor may create a share")
-        if grant.resource_type == "application" and access_checker is not None:
-            for system_id in referenced_systems:
-                if not access_checker(grant.grantor, "system", system_id):
-                    raise ShareTimeCheckFailed(
-                        f"grantor lacks access to system {system_id!r}", failing_system=system_id)
         with self._lock:
             if grant not in self._grants:
                 self._grants.append(grant)
@@ -110,26 +102,24 @@ class SharingService:
 
     # -- queries --
 
+    def _grants_on(self, tenant, resource_type, resource_id, privilege):
+        """Every grant of ``privilege`` on one resource, earliest first."""
+        key = (tenant, resource_type, resource_id, privilege)
+        with self._lock:
+            return [g for g in self._grants
+                    if (g.tenant, g.resource_type, g.resource_id, g.privilege) == key]
+
     def is_shared_with(self, tenant, resource_type, resource_id, user, privilege):
         """(shared, grantor) for a direct or tenant-public grant."""
-        with self._lock:
-            for g in self._grants:
-                if (g.tenant, g.resource_type, g.resource_id, g.privilege) != (
-                        tenant, resource_type, resource_id, privilege):
-                    continue
-                if g.grantee == user or g.grantee == PUBLIC_TENANT:
-                    return True, g.grantor
+        for g in self._grants_on(tenant, resource_type, resource_id, privilege):
+            if g.grantee in (user, PUBLIC_TENANT):
+                return True, g.grantor
         return False, None
 
     def is_no_authn_shared(self, tenant, resource_type, resource_id, privilege) -> bool:
         """Only routes flagged for unauthenticated access consult this."""
-        with self._lock:
-            return any(
-                g.grantee == NO_AUTHN
-                and (g.tenant, g.resource_type, g.resource_id, g.privilege)
-                == (tenant, resource_type, resource_id, privilege)
-                for g in self._grants
-            )
+        return any(g.grantee == NO_AUTHN
+                   for g in self._grants_on(tenant, resource_type, resource_id, privilege))
 
     # -- SAC resolution --
 
@@ -137,24 +127,17 @@ class SharingService:
                            resource, privilege: str, authorized) -> AccessOutcome:
         """Runtime SAC check for one resource (a (type, id) pair).
 
-        ``authorized(user, resource_type, resource_id, privilege)`` decides
-        ownership/permission-based access; share grants recorded here are
-        consulted on top of it. Nothing is cached: every call reflects the
-        grant and permission state at this instant.
+        ``authorized(user, resource_type, resource_id, privilege)`` is the
+        resource service's whole access check, shares included; it is asked
+        for the grantor, then for the requester. Nothing is cached: every
+        call reflects the grant and permission state at this instant.
         """
         resource_type, resource_id = resource[0], resource[1]
         if not sac.contains(resource_type, resource_id):
             raise ResourceNotInSac(
                 f"{resource_type} {resource_id!r} is not named in application {sac.app_id!r}")
-
-        def has_access(user):
-            if authorized(user, resource_type, resource_id, privilege):
-                return True
-            shared, _ = self.is_shared_with(sac.tenant, resource_type, resource_id, user, privilege)
-            return shared
-
-        if has_access(sac.grantor):
+        if authorized(sac.grantor, resource_type, resource_id, privilege):
             return AccessOutcome.GRANTOR_AUTHORIZED
-        if has_access(requesting_user):
+        if authorized(requesting_user, resource_type, resource_id, privilege):
             return AccessOutcome.GRANTEE_AUTHORIZED
         return AccessOutcome.DENIED

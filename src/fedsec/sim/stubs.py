@@ -18,6 +18,7 @@ import base64
 import functools
 
 from ..errors import NotFound, ResourceNotInSac, SacOnUserRequest, SecurityError
+from ..identity import Caller
 from ..secrets import SecretCategory, SecretPath, SecretValue
 from ..service import ServiceApp, rejection_response
 from ..sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER, AccessOutcome, SacDescriptor
@@ -92,6 +93,7 @@ class SystemsApp(_StubApp):
     def __init__(self, runtime):
         super().__init__(runtime)
         self.defs = {}  # (tenant, id) -> definition dict
+        self.identity = Caller(name=self.name, tenant=runtime.config.admin_tenant, kind="service")
 
     def create_system(self, req, verdict, id: str, owner: str = None, kind: str = "storage",
                       credentialUser: str = TEMPLATE_REQUESTER):
@@ -108,8 +110,7 @@ class SystemsApp(_StubApp):
         if verdict.claims.account_type == "user" and username != user.username:
             return fail(403, "NOT_AUTHORIZED", "users store only their own credentials")
         path = SecretPath(user.tenant, SecretCategory.SYSTEM_CREDENTIAL, username, sys_id)
-        version = self.rt.secrets.write_secret(path, SecretValue(payloadB64),
-                                               self.rt.systems_identity())
+        version = self.rt.secrets.write_secret(path, SecretValue(payloadB64), self.identity)
         self.record("credentials-stored", target=sys_id, user=username)
         return ok({"version": version}, message="credentials stored", status=201)
 
@@ -158,7 +159,7 @@ class SystemsApp(_StubApp):
         cred_path = SecretPath(user.tenant, SecretCategory.SYSTEM_CREDENTIAL,
                                credential_user, sys_id)
         try:
-            secret = self.rt.secrets.read_secret(cred_path, self.rt.systems_identity())
+            secret = self.rt.secrets.read_secret(cred_path, self.identity)
             credential_present = True
             credential_b64 = base64.b64encode(secret.payload).decode()
         except SecurityError:
@@ -187,7 +188,7 @@ class SystemsApp(_StubApp):
             resources.add(("system", entry["system"], None))
             resources.add(("path", f"{entry['system']}:{entry['path']}", entry["path"]))
         return SacDescriptor(grantor=body["result"]["sacGrantor"], app_id=app["id"],
-                             tenant=user.tenant, shared_resources=frozenset(resources))
+                             shared_resources=frozenset(resources))
 
     def authorized(self, user, username, resource_type, resource_id, privilege) -> bool:
         """Whether ``username`` holds ``privilege`` on a system: its owner, else
@@ -239,7 +240,11 @@ class AppsApp(_StubApp):
         return ok({"definition": definition, "sacGrantor": grantor})
 
     def share_app(self, req, verdict, app_id, grantee: str, privilege: str = "EXECUTE"):
-        """Share with share-time access checks over every referenced system."""
+        """Share an application after a share-time check: the grantor must
+        currently hold access to every system the definition references, so
+        a grantee never inherits access the grantor never had. A failure
+        names the system (403 ``SHARE_TIME_CHECK_FAILED``, ``failingSystem``);
+        the grant itself is recorded by the tenant's kernel."""
         user = verdict.effective_user
         definition = self.defs.get((user.tenant, app_id))
         if definition is None:

@@ -29,11 +29,16 @@ import secrets as pysecrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from cryptography.fernet import Fernet
-
 from .errors import ConfigInvalid, DuplicateSite, ExportFailed, StoreUnreachable
 from .identity import BOOTSTRAP
-from .secrets import SecretCategory, SecretPath, SecretsService, SecretValue
+from .secrets import (
+    SecretCategory,
+    SecretPath,
+    SecretsService,
+    SecretValue,
+    decrypt_backup,
+    encrypt_backup,
+)
 from .tokens import generate_keypair
 
 PASSWORD_BYTES = 32
@@ -243,16 +248,14 @@ def export_secrets(report: BootstrapReport, secrets: SecretsService, target: str
     if target == "orchestrator-secrets":
         out.write_text(json.dumps({"secrets": records}, indent=2, sort_keys=True))
     elif target == "encrypted-file":
-        blob = "\n".join(json.dumps(r, sort_keys=True) for r in records).encode()
-        out.write_bytes(Fernet(secrets.master_key).encrypt(blob))
+        out.write_bytes(encrypt_backup(records, secrets.master_key))
     else:
         raise ExportFailed(f"unknown export target {target!r}")
     return out
 
 
 def read_encrypted_export(path, master_key: bytes):
-    blob = Fernet(master_key).decrypt(Path(path).read_bytes())
-    return [json.loads(line) for line in blob.decode().split("\n") if line]
+    return decrypt_backup(Path(path).read_bytes(), master_key)
 
 
 def exchange_associate_key(assoc_site_id: str, public_key_pem: str,

@@ -111,6 +111,24 @@ def test_sac_grantor_comes_from_the_apps_service(walkthrough_fed):
     assert real.json()["result"]["code"] == "SAC_DENIED"
 
 
+def test_sac_grantee_fallback_through_a_system_share(walkthrough_fed):
+    run_sac_walkthrough(walkthrough_fed, "both-unauthorized")
+    runtime = walkthrough_fed.runtimes["prime"]
+    sysop, bob = UserIdentity("sysop", "tenant1"), UserIdentity("bob", "tenant1")
+    shared = runtime.service_request(
+        "systems", "POST", "tenant1", "/v3/security/shares", obo=sysop,
+        json_body={"grantee": "bob", "resourceType": "system", "resourceId": "execSys",
+                   "privilege": "EXECUTE"})
+    assert shared.status_code == 201
+    # alice's access has lapsed and bob holds no permission: the owner's share
+    # decides, through the systems service's one access check.
+    fetched = runtime.service_request(
+        "jobs", "GET", "tenant1", "/v3/systems/execSys", obo=bob, query={"privilege": "EXECUTE"},
+        headers={SAC_GRANTOR_HEADER: "alice", SAC_APP_HEADER: "aliceApp"})
+    assert fetched.status_code == 200
+    assert fetched.json()["result"]["sac"] == "grantee-authorized"
+
+
 def test_system_share_is_answered_by_the_tenants_kernel(walkthrough_fed):
     fed = walkthrough_fed
     alice, bob = fed.login("tenant1", "alice"), fed.login("tenant1", "bob")

@@ -152,6 +152,30 @@ def test_user_cannot_query_other_users(fed, tokens):
     assert r.status_code == 200
 
 
+def test_user_cannot_ask_about_other_users_shares(fed, tokens):
+    r = fed.request("POST", "tenant1.sim", "/v3/security/shares", token=tokens["alice"],
+                    json_body={"grantee": "root1", "resourceType": "system",
+                               "resourceId": "askSys", "privilege": "READ"})
+    assert r.status_code == 201
+
+    def ask(token, username):
+        return fed.request("GET", "tenant1.sim", "/v3/security/shares/isSharedWith",
+                           token=tokens[token],
+                           query={"resourceType": "system", "resourceId": "askSys",
+                                  "privilege": "READ", "username": username})
+
+    r = ask("bob", "root1")
+    assert r.status_code == 403
+    assert r.json()["result"]["code"] == "NOT_AUTHORIZED"
+    # The tenant admin may ask about anyone; a user about themself.
+    r = ask("root", "bob")
+    assert r.status_code == 200
+    assert r.json()["result"] == {"shared": False, "grantor": None}
+    r = ask("bob", "bob")
+    assert r.status_code == 200
+    assert r.json()["result"] == {"shared": False, "grantor": None}
+
+
 def test_vault_write_requires_service_identity(fed, tokens):
     r = fed.request("POST", "tenant1.sim",
                     "/v3/security/vault/secret/system-credential/tenant1/bob/sysX",

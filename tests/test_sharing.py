@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fedsec.errors import NotAuthorized, NotFound, ResourceNotInSac, ShareTimeCheckFailed
+from fedsec.errors import NotAuthorized, NotFound, ResourceNotInSac
 from fedsec.identity import Caller
 from fedsec.sharing import (
     NO_AUTHN,
@@ -22,7 +22,7 @@ def app_grant(grantee="bob", privilege="EXECUTE"):
 
 
 def make_sac():
-    return SacDescriptor(grantor="alice", app_id="aliceApp", tenant="tenant1",
+    return SacDescriptor(grantor="alice", app_id="aliceApp",
                          shared_resources=frozenset({
                              ("system", "execSys", None),
                              ("system", "storeSys", None),
@@ -47,24 +47,6 @@ def test_only_grantor_creates(ALICE=ALICE):
     mallory = Caller(name="mallory", tenant="tenant1", kind="user")
     with pytest.raises(NotAuthorized):
         svc.create_share(app_grant(), mallory)
-
-
-def test_share_time_check_names_failing_system():
-    svc = SharingService()
-    granted = {"storeSys"}
-    with pytest.raises(ShareTimeCheckFailed) as err:
-        svc.create_share(app_grant(), ALICE,
-                         referenced_systems=["storeSys", "execSys"],
-                         access_checker=lambda user, rt, rid: rid in granted)
-    assert err.value.failing_system == "execSys"
-
-
-def test_share_time_check_passes_when_grantor_has_access():
-    svc = SharingService()
-    svc.create_share(app_grant(), ALICE,
-                     referenced_systems=["storeSys", "execSys"],
-                     access_checker=lambda user, rt, rid: True)
-    assert svc.is_shared_with("tenant1", "application", "aliceApp", "bob", "EXECUTE")[0]
 
 
 def test_tenant_public_share_reaches_everyone():
@@ -140,8 +122,9 @@ def test_sac_fallback_through_direct_share():
     svc.create_share(ShareGrant(tenant="tenant1", grantor="owner", grantee="bob",
                                 resource_type="system", resource_id="execSys", privilege="EXECUTE"),
                      Caller(name="owner", tenant="tenant1", kind="user"))
-    outcome = svc.resolve_sac_access(make_sac(), "bob", ("system", "execSys"), "EXECUTE",
-                                     lambda *a: False)
+    # The callback is the resource service's whole check, shares included.
+    shared = lambda user, rt, rid, priv: svc.is_shared_with("tenant1", rt, rid, user, priv)[0]
+    outcome = svc.resolve_sac_access(make_sac(), "bob", ("system", "execSys"), "EXECUTE", shared)
     assert outcome is AccessOutcome.GRANTEE_AUTHORIZED
 
 
@@ -150,7 +133,8 @@ def test_runtime_checks_follow_current_state():
     svc = SharingService()
     rng = random.Random(5)
     grantor_ok = {"on": True}
-    authorized = lambda user, rt, rid, priv: user == "alice" and grantor_ok["on"]
+    authorized = lambda user, rt, rid, priv: (user == "alice" and grantor_ok["on"]) or (
+        svc.is_shared_with("tenant1", rt, rid, user, priv)[0])
     owner = Caller(name="owner", tenant="tenant1", kind="user")
     bob_grant = ShareGrant(tenant="tenant1", grantor="owner", grantee="bob",
                            resource_type="system", resource_id="execSys", privilege="EXECUTE")

@@ -4,7 +4,13 @@ import pytest
 
 from fedsec.errors import ConfigInvalid, DuplicateSite, ExportFailed, StoreUnreachable
 from fedsec.identity import BOOTSTRAP
-from fedsec.secrets import MemoryKvBackend, SecretCategory, SecretPath, SecretsService
+from fedsec.secrets import (
+    MemoryKvBackend,
+    SecretCategory,
+    SecretPath,
+    SecretsService,
+    generate_master_key,
+)
 from fedsec.skadmin import (
     ASSOCIATE_ORDER,
     PRIMARY_ORDER,
@@ -114,6 +120,13 @@ def test_encrypted_file_export_round_trip(store, tmp_path):
         stored = store.read_secret(
             SecretPath(path[0], SecretCategory(path[1]), path[2], path[3]), BOOTSTRAP).payload
         assert base64.b64decode(r["data"]["value"]) == stored
+
+
+def test_encrypted_file_export_under_another_key_fails(store, tmp_path):
+    report = run_bootstrap(primary_config(), store)
+    out = export_secrets(report, store, "encrypted-file", tmp_path / "secrets.enc")
+    with pytest.raises(ExportFailed):
+        read_encrypted_export(out, generate_master_key())
 
 
 def test_manifest_export_one_document_per_secret(store, tmp_path):
