@@ -72,7 +72,7 @@ class MemoryRbacStore:
         self._roles = {}         # (tenant, name) -> (owner, description)
         self._edges = {}         # tenant -> {parent: set(children)}
         self._assignments = {}   # tenant -> {subject: {role: grantor}}
-        self._perms = {}         # (tenant, role) -> list[str]
+        self._perms = {}         # (tenant, role) -> {permission: None}, insertion-ordered
         self.audit_log = []
 
     def get_role(self, tenant, name):
@@ -110,14 +110,10 @@ class MemoryRbacStore:
         return set(self._assignments.get(tenant, {}).get(subject, {}))
 
     def add_permission(self, tenant, role, permission):
-        perms = self._perms.setdefault((tenant, role), [])
-        if permission not in perms:
-            perms.append(permission)
+        self._perms.setdefault((tenant, role), {})[permission] = None
 
     def remove_permission(self, tenant, role, permission):
-        perms = self._perms.get((tenant, role), [])
-        if permission in perms:
-            perms.remove(permission)
+        self._perms.get((tenant, role), {}).pop(permission, None)
 
     def permissions_of(self, tenant, role):
         return list(self._perms.get((tenant, role), ()))

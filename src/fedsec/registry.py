@@ -248,7 +248,9 @@ class CachedRegistryView(RegistryView):
     ``refresh_seconds`` have passed since the last attempt and reports the
     age of the last successful fetch so health checks can flag staleness.
     A failed refetch keeps serving the stale snapshot and waits another
-    ``refresh_seconds`` before trying again.
+    ``refresh_seconds`` before trying again. One reader claims each
+    interval's attempt and fetches outside the lock; meanwhile every other
+    reader gets the current snapshot at once.
     """
 
     def __init__(self, fetch, refresh_seconds: float = REGISTRY_REFRESH_SECONDS, clock=time.time):
@@ -264,14 +266,19 @@ class CachedRegistryView(RegistryView):
     def snapshot(self) -> RegistrySnapshot:
         with self._lock:
             now = self._clock()
-            if self._snapshot is None or now - self._attempted_at >= self.refresh_seconds:
-                try:
-                    self._snapshot = self._fetch()
-                    self._fetched_at = now
-                except Exception:
-                    if self._snapshot is None:
-                        raise
-                self._attempted_at = now
+            current = self._snapshot
+            if current is not None and now - self._attempted_at < self.refresh_seconds:
+                return current
+            self._attempted_at = now
+        try:
+            fresh = self._fetch()
+        except Exception:
+            if current is None:
+                raise
+            return current
+        with self._lock:
+            if self._fetched_at is None or self._fetched_at <= now:  # never publish an older fetch
+                self._snapshot, self._fetched_at = fresh, now
             return self._snapshot
 
     def age(self) -> float:

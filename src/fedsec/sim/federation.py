@@ -6,20 +6,31 @@ URL host to the owning site's listener. Site bring-up follows the
 deployment order: secrets first, bootstrap, registry (primary) or key
 handoff (associates), kernel, tokens, authenticator, then stubs.
 
-The federation owns a transcript recorder shared by every service, a
+The federation owns a transcript recorder shared by every service and a
 per-service token cache (one access/refresh pair per target site,
-refreshed near expiry), and the cross-site transports that inject
-configured link latency on forwarded hops.
+refreshed near expiry).
+
+Every simulated client call (logins, token acquire and refresh, associate
+registry fetches, service-to-service hops) goes through ``request_at_site``
+over ``http.client``: one keep-alive connection per site and thread, owned
+by the federation and closed by ``Federation.close``. A pooled connection
+that the server closed while it sat idle is reopened once; a fresh one is
+never retried. An associate's forward transport opens one fresh connection
+per forwarded hop, so an unreachable primary is always detected, and
+injects the configured link latency on both legs. Paths and queries are
+encoded as ``requests`` (urllib3) encoded them; see ``_request_target``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+import weakref
 from collections import deque
-
-import requests
+from http.client import HTTPConnection
+from urllib.parse import quote, urlencode
 
 from ..errors import StartupError, TopologyInvalid
 from ..gatekeeper import OBO_TENANT_HEADER, OBO_USER_HEADER, TOKEN_HEADER
@@ -36,16 +47,122 @@ from ..wire import Request, Response, fail, ok
 from .stubs import STUB_APPS
 from .topology import Topology
 
-_thread_local = threading.local()
+CLIENT_TIMEOUT = 60.0  # seconds a simulated client waits on a socket
+
+# Characters urllib3 leaves unescaped in a path and in a query, besides
+# the unreserved ones, which ``quote`` always keeps.
+_PATH_SAFE = "!$&'()*+,;=:@/"
+_QUERY_SAFE = _PATH_SAFE + "?"
+_UNRESERVED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~")
+_ESCAPE = re.compile(r"%[0-9a-fA-F]{2}")
 
 
-def _session() -> requests.Session:
-    session = getattr(_thread_local, "session", None)
-    if session is None:
-        session = requests.Session()
-        session.trust_env = False
-        _thread_local.session = session
-    return session
+def _unreserved_or_escape(match) -> str:
+    char = chr(int(match.group(0)[1:], 16))
+    return char if char in _UNRESERVED else match.group(0)
+
+
+def _percent_encode(text: str, safe: str) -> str:
+    """Percent-encode ``text`` as UTF-8, passing lone surrogates through.
+    Existing escapes are upper-cased. When every ``%`` starts one, they are
+    kept and those of unreserved characters decoded; otherwise every ``%``
+    is escaped too."""
+    if "%" in text:
+        text, escapes = _ESCAPE.subn(lambda m: m.group(0).upper(), text)
+        if escapes == text.count("%"):
+            text = _ESCAPE.sub(_unreserved_or_escape, text)
+            safe += "%"
+    return quote(text, safe=safe, errors="surrogatepass")
+
+
+def _request_target(path: str, query=None) -> str:
+    """The request target ``requests`` sent for ``path`` and ``params=query``:
+    the fragment dropped, path and inline query percent-encoded, and the
+    query's non-None values appended with ``urlencode``. Unlike ``requests``,
+    dot segments in ``path`` are sent as given, so an id such as ``..``
+    cannot re-target a hop."""
+    path, _, inline = path.partition("#")[0].partition("?")
+    params = ""
+    if query:
+        params = urlencode({k: v for k, v in query.items() if v is not None}, doseq=True)
+    query_text = "&".join(part for part in (_percent_encode(inline, _QUERY_SAFE), params) if part)
+    target = _percent_encode(path, _PATH_SAFE)
+    return f"{target}?{query_text}" if query_text else target
+
+
+class ClientResponse:
+    """A simulated client's view of an HTTP response."""
+
+    __slots__ = ("status_code", "headers", "content")
+
+    def __init__(self, status_code: int, headers, content: bytes):
+        self.status_code = status_code
+        self.headers = headers
+        self.content = content
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", errors="replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+def _exchange(conn: HTTPConnection, method, target, body, headers) -> ClientResponse:
+    """One request and its whole response on ``conn``; closes ``conn`` on failure."""
+    try:
+        conn.request(method, target, body=body, headers=headers)
+        response = conn.getresponse()
+        return ClientResponse(response.status, response.headers, response.read())
+    except BaseException:
+        conn.close()
+        raise
+
+
+class _IdleConnections(dict):
+    """One thread's idle connections by port, closed when the thread ends."""
+
+    def __del__(self):
+        for conn in self.values():
+            conn.close()
+
+
+class _SiteConnections:
+    """Keep-alive connections to the site listeners, one per port and thread.
+
+    A thread's idle connections are closed when it ends; ``close`` closes
+    every connection still open, so none outlives the federation that
+    opened it.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+        self._opened = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def send(self, port, method, target, body, headers) -> ClientResponse:
+        idle = getattr(self._local, "idle", None)
+        if idle is None:
+            idle = self._local.idle = _IdleConnections()
+        conn = idle.pop(port, None)
+        if conn is not None:
+            try:
+                response = _exchange(conn, method, target, body, headers)
+            except ConnectionError:
+                conn = None  # closed by the server while idle: reopen once
+        if conn is None:
+            conn = HTTPConnection("127.0.0.1", port, timeout=CLIENT_TIMEOUT)
+            with self._lock:
+                self._opened.add(conn)
+            response = _exchange(conn, method, target, body, headers)
+        idle[port] = conn
+        return response
+
+    def close(self):
+        with self._lock:
+            opened = list(self._opened)
+        for conn in opened:
+            conn.close()
 
 
 TRANSCRIPT_LIMIT = 10_000  # entries kept; older ones are dropped
@@ -162,6 +279,7 @@ class Federation:
         self.ports = {}          # site -> port
         self.registry = None     # authoritative (primary) registry
         self._token_caches = {}
+        self._connections = _SiteConnections()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -311,6 +429,7 @@ class Federation:
     def close(self):
         for handle in self.handles.values():
             handle.close()
+        self._connections.close()
         self._started = False
 
     def __enter__(self):
@@ -333,13 +452,15 @@ class Federation:
                            or k.lower() in ("content-type", "authorization")}
             hop_headers["Host"] = req.host
             hop_headers["Connection"] = "close"
-            # One connection per hop: a pooled connection can outlive the
-            # primary's listener and mask an unreachable site.
-            with requests.Session() as hop:
-                hop.trust_env = False
-                response = hop.request(
-                    req.method, f"http://127.0.0.1:{self.ports[self.primary_id]}{req.path}",
-                    params=req.query, headers=hop_headers, data=req.body or None, timeout=60)
+            # One fresh connection per hop: a pooled connection can outlive
+            # the primary's listener and mask an unreachable site.
+            hop = HTTPConnection("127.0.0.1", self.ports[self.primary_id],
+                                 timeout=CLIENT_TIMEOUT)
+            try:
+                response = _exchange(hop, req.method, _request_target(req.path, req.query),
+                                     req.body or None, hop_headers)
+            finally:
+                hop.close()
             if delay:
                 time.sleep(delay)
             self.transcript.record(f"router@{from_site}", "forwarded-to-primary",
@@ -349,26 +470,28 @@ class Federation:
         return transport
 
     def request(self, method, host, path, headers=None, json_body=None,
-                query=None, token=None, timeout=60):
+                query=None, token=None):
         site_id = self.dns.get(host)
         if site_id is None:
             raise TopologyInvalid(f"no DNS entry for host {host!r}")
         return self.request_at_site(site_id, host, method, path, headers=headers,
-                                    json_body=json_body, query=query, token=token,
-                                    timeout=timeout)
+                                    json_body=json_body, query=query, token=token)
 
     def request_at_site(self, site_id, host, method, path, headers=None, json_body=None,
-                        query=None, token=None, timeout=60):
+                        query=None, token=None) -> ClientResponse:
         """Send to a specific site's listener regardless of DNS (misdirected
         and forwarded-equivalence probes)."""
         final_headers = {"Host": host}
         if token:
             final_headers[TOKEN_HEADER] = token
+        body = None
+        if json_body is not None:
+            body = json.dumps(json_body, allow_nan=False).encode()
+            final_headers["Content-Type"] = "application/json"
         if headers:
             final_headers.update(headers)
-        return _session().request(
-            method, f"http://127.0.0.1:{self.ports[site_id]}{path}",
-            params=query, headers=final_headers, json=json_body, timeout=timeout)
+        return self._connections.send(self.ports[site_id], method,
+                                       _request_target(path, query), body, final_headers)
 
     def login(self, tenant, username, password=None) -> str:
         password = password or self.topo.tenant_users.get(tenant, {}).get(username)

@@ -4,6 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ import pytest
 import fedsec
 from fedsec.identity import UserIdentity
 from fedsec.sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER
-from fedsec.sim.federation import TRANSCRIPT_LIMIT, Transcript, build_federation
+from fedsec.sim.federation import TRANSCRIPT_LIMIT, Federation, Transcript, build_federation
 from fedsec.sim.presets import penalty_topology, two_site_topology
 from fedsec.sim.scenario import (
     run_sac_walkthrough,
@@ -19,6 +22,7 @@ from fedsec.sim.scenario import (
     walkthrough_steps,
     walkthrough_topology_doc,
 )
+from fedsec.sim.topology import Topology
 
 
 @pytest.fixture()
@@ -298,11 +302,18 @@ def test_primary_unreachable_surfaces_as_502():
     federation = build_federation(two_site_topology())
     try:
         carol = federation.login("tenant2", "carol")
+        # jobs runs only at the primary: this request takes the forward hop.
+        assert federation.request("POST", "tenant2.sim", "/v3/jobs", token=carol,
+                                  json_body={"appId": "x"}).status_code == 200
+        # The primary stops listening. A connection kept from the first hop
+        # would still reach its live handler thread and answer 200.
         federation.handles["prime"].close()
+        started = time.monotonic()
         response = federation.request("POST", "tenant2.sim", "/v3/jobs", token=carol,
                                       json_body={"appId": "x"})
         assert response.status_code == 502
         assert response.json()["result"]["code"] == "PRIMARY_UNREACHABLE"
+        assert time.monotonic() - started < 5
     finally:
         federation.close()
 
@@ -405,3 +416,115 @@ def test_transcript_keeps_only_the_most_recent_entries():
     transcript.clear()
     transcript.record("jobs@prime", "step")
     assert [e["seq"] for e in transcript.snapshot()] == [0]
+
+
+# ----------------------------------------------------------------------
+# the simulated clients' HTTP transports
+
+
+class _OneRequestHandler(BaseHTTPRequestHandler):
+    """Records each request line and answers it, if the server says so,
+    then closes the connection without announcing it, as a listener that
+    times out idle connections does."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def handle(self):
+        self.server.connections += 1
+        if self.server.answering:
+            self.handle_one_request()
+
+    def do_GET(self):
+        self.server.seen.append((self.path, self.headers.get("Content-Type")))
+        self.send_response(200)
+        self.send_header("Content-Length", "2")
+        self.end_headers()
+        self.wfile.write(b"{}")
+
+    do_POST = do_GET
+
+
+@pytest.fixture()
+def closing_site():
+    """A federation whose one site, "x", is a ``_OneRequestHandler`` listener."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _OneRequestHandler)
+    server.daemon_threads = True
+    server.connections, server.answering, server.seen = 0, True, []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    federation = Federation(Topology.from_dict(two_site_topology()))
+    federation.ports["x"] = server.server_address[1]
+    try:
+        yield federation, server
+    finally:
+        federation.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+
+
+def test_pooled_connection_closed_by_the_server_is_reopened_once(closing_site):
+    federation, server = closing_site
+    for _ in range(2):
+        assert federation.request_at_site("x", "h", "GET", "/a").status_code == 200
+    assert server.connections == 2  # the second request reopened the closed one
+    server.answering = False
+    with pytest.raises(ConnectionError):
+        federation.request_at_site("x", "h", "GET", "/a")
+    assert server.connections == 3  # one reopen, and the fresh connection is not retried
+
+
+def test_paths_and_queries_reach_the_site_encoded_as_requests_sent_them(closing_site):
+    federation, server = closing_site
+    federation.request_at_site("x", "h", "GET", "/v3/apps/\u00e9t\u00e9")
+    federation.request_at_site("x", "h", "GET", "/v3/apps/\ud800")
+    federation.request_at_site("x", "h", "GET", "/v3/s/a b%zz;@",
+                               query={"q": "\u00e9 &", "none": None})
+    federation.request_at_site("x", "h", "POST", "/v3/jobs", json_body={"appId": "a"})
+    assert server.seen == [
+        ("/v3/apps/%C3%A9t%C3%A9", None),
+        ("/v3/apps/%ED%A0%80", None),
+        ("/v3/s/a%20b%25zz;@?q=%C3%A9+%26", None),
+        ("/v3/jobs", "application/json"),
+    ]
+
+
+def test_an_app_id_with_dot_segments_does_not_retarget_the_jobs_hop(walkthrough_fed):
+    # jobs fetches /v3/apps/{appId}. Removing the dot segments would send
+    # this hop to the kernel's healthcheck, whose answer is no application.
+    bob = walkthrough_fed.login("tenant1", "bob")
+    response = walkthrough_fed.request("POST", "tenant1.sim", "/v3/jobs", token=bob,
+                                       json_body={"appId": "../security/healthcheck"})
+    assert response.status_code == 200, response.text
+    assert response.json()["result"]["reason"] == "application not accessible"
+
+
+def test_no_handler_thread_of_a_closed_federation_survives():
+    from fedsec.sim.loadgen import measure_cross_site_penalty
+
+    before = set(threading.enumerate())
+    federation = build_federation(penalty_topology(link_ms=0))
+    try:
+        measure_cross_site_penalty(federation, samples=2)
+    finally:
+        federation.close()
+    deadline = time.monotonic() + 5
+    while True:
+        survivors = [t.name for t in threading.enumerate() if t not in before and t.is_alive()]
+        if not survivors or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert survivors == []
+
+
+def test_the_federation_client_loads_neither_requests_nor_urllib3():
+    code = ("import sys, fedsec.sim.federation; "
+            "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+    src = str(Path(fedsec.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -166,6 +166,28 @@ def test_revoke_unattached_permission_is_noop(svc):
     assert svc.list_permissions("t1", "r") == []
 
 
+def test_memory_store_grants_keep_order_and_cost_linear_comparisons():
+    compared = [0]
+
+    class CountingStr(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            compared[0] += 1
+            return str.__eq__(self, other)
+
+    store, n = MemoryRbacStore(), 2000
+    grants = [f"files:t1:read:s:/p{i}" for i in range(n)]
+    for grant in grants + grants:  # the second pass re-adds each grant
+        store.add_permission("t1", "r", CountingStr(grant))
+    for grant in grants[::2] + grants[::2]:  # and removes twice
+        store.remove_permission("t1", "r", CountingStr(grant))
+    assert store.permissions_of("t1", "r") == grants[1::2]
+    # A list membership test compares each add with every stored grant:
+    # about n * n / 2 comparisons, against at most one per call here.
+    assert compared[0] <= 3 * n
+
+
 def test_is_permitted_through_wildcard(svc):
     svc.create_role("cyverse", "power", "admin")
     svc.grant_permission("power", "cyverse", "systems:cyverse:*:frontera")

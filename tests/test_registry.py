@@ -1,4 +1,5 @@
 import copy
+import threading
 
 import pytest
 
@@ -188,3 +189,39 @@ def test_cached_view_serves_stale_if_fetch_fails():
     now[0] += 10
     view.get_tenant("tenant1")
     assert attempts == [60.0, 70.0]
+
+
+def test_cached_view_refetch_does_not_block_readers():
+    now = [0.0]
+    stale, fresh = load_config(two_site_doc()), load_config(two_site_doc())
+    fetching, release = threading.Event(), threading.Event()
+
+    def blocked_fetch():
+        fetching.set()
+        release.wait(10)
+        return fresh
+
+    view = CachedRegistryView(lambda: stale, refresh_seconds=10, clock=lambda: now[0])
+    assert view.snapshot is stale
+    now[0] += 60
+    view._fetch = blocked_fetch
+    seen = {}
+    refetcher = threading.Thread(target=lambda: seen.update(refetcher=view.snapshot))
+    reader = threading.Thread(target=lambda: seen.update(reader=view.snapshot))
+    try:
+        refetcher.start()
+        assert fetching.wait(5)
+        # The refetch holds this interval's attempt; a concurrent reader
+        # gets the stale snapshot without waiting for it.
+        reader.start()
+        reader.join(2)
+        assert not reader.is_alive()
+        assert seen["reader"] is stale
+    finally:
+        release.set()
+        refetcher.join(5)
+        reader.join(5)
+    assert not refetcher.is_alive()
+    assert seen["refetcher"] is fresh
+    assert view.snapshot is fresh
+    assert view.age() == 0
