@@ -95,6 +95,12 @@ class StoreUnreachable(SecurityError):
     http_status = 503
 
 
+class SecretMisplaced(SecurityError):
+    """A stored blob was encrypted for another storage key."""
+    code = "SECRET_MISPLACED"
+    http_status = 500
+
+
 class ExportFailed(SecurityError):
     code = "EXPORT_FAILED"
 

@@ -12,8 +12,10 @@ Categories and their access policy (the full matrix is in ``_POLICY``):
 * user secrets: free-form data readable and writable by the owner only.
 
 Payloads are encrypted at rest with a site master key (authenticated
-symmetric encryption); backends only ever see ciphertext. Every write
-creates a new version; old versions stay readable when pinned. Exports
+symmetric encryption); backends only ever see ciphertext. Each record
+names the storage key it was written under, so a blob copied to another
+key is refused. Every write creates a new version; old versions stay
+readable when pinned. Exports
 snapshot the store without blocking writers and come back as version
 records wrapped in one authenticated-encryption envelope.
 """
@@ -31,7 +33,9 @@ from pathlib import Path
 
 from cryptography.fernet import Fernet, InvalidToken
 
-from .errors import ExportFailed, NotAuthorized, NotFound, QuotaExceeded, StoreUnreachable
+from .errors import (
+    ExportFailed, NotAuthorized, NotFound, QuotaExceeded, SecretMisplaced, StoreUnreachable,
+)
 from .identity import Caller
 
 
@@ -204,16 +208,21 @@ class SecretsService:
                 f"{caller.kind} {caller.subject()} may not {operation} {path.category.value} secrets"
             )
 
-    def _encrypt(self, value: SecretValue) -> bytes:
+    def _encrypt(self, key: str, value: SecretValue) -> bytes:
         record = {
+            "key": key,
             "payload": base64.b64encode(value.payload).decode(),
             "created_at": value.created_at,
             "metadata": value.metadata,
         }
         return self._fernet.encrypt(json.dumps(record).encode())
 
-    def _decrypt(self, blob: bytes) -> SecretValue:
+    def _decrypt(self, key: str, blob: bytes) -> SecretValue:
+        """The value stored under ``key``; a blob encrypted for any other
+        key (copied or moved within the backend) is refused."""
         record = json.loads(self._fernet.decrypt(blob))
+        if record.get("key") != key:
+            raise SecretMisplaced(f"the blob at {key} was encrypted for another key")
         return SecretValue(
             payload=base64.b64decode(record["payload"]),
             created_at=record["created_at"],
@@ -242,7 +251,8 @@ class SecretsService:
             version = (versions[-1] + 1) if versions else 1
             if not value.created_at:
                 value = SecretValue(value.payload, self._clock(), dict(value.metadata))
-            self.backend.put(f"{path.render()}/v{version}", self._encrypt(value))
+            key = f"{path.render()}/v{version}"
+            self.backend.put(key, self._encrypt(key, value))
         return version
 
     def read_secret(self, path: SecretPath, caller: Caller, version: int | None = None) -> SecretValue:
@@ -253,10 +263,11 @@ class SecretsService:
                 if not versions:
                     raise NotFound(f"no secret at {path.render()}")
                 version = versions[-1]
-            blob = self.backend.get(f"{path.render()}/v{version}")
+            key = f"{path.render()}/v{version}"
+            blob = self.backend.get(key)
         if blob is None:
             raise NotFound(f"no secret at {path.render()} version {version}")
-        return self._decrypt(blob)
+        return self._decrypt(key, blob)
 
     def exists(self, path: SecretPath, caller: Caller) -> bool:
         self._authorize("read", path, caller)
@@ -281,8 +292,9 @@ class SecretsService:
             versions = self._versions_of(path)
             if not versions:
                 return False
-            blob = self.backend.get(f"{path.render()}/v{versions[-1]}")
-        stored = self._decrypt(blob).payload
+            key = f"{path.render()}/v{versions[-1]}"
+            blob = self.backend.get(key)
+        stored = self._decrypt(key, blob).payload
         if isinstance(candidate, str):
             candidate = candidate.encode()
         return hmac.compare_digest(stored, candidate)
@@ -305,7 +317,7 @@ class SecretsService:
             tenant = key.split("/", 1)[0]
             if scope == "tenant" and tenant != scope_id:
                 continue
-            value = self._decrypt(blob)
+            value = self._decrypt(key, blob)
             path_part, vpart = key.rsplit("/v", 1)
             records.append({
                 "path": path_part,

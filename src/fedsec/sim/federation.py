@@ -239,7 +239,8 @@ class SimSiteRuntime(SiteRuntime):
 
 
 class _TokenCache:
-    """Per-service access/refresh pairs keyed by target site."""
+    """Per-service access/refresh pairs keyed by target site, each with its
+    access token's ``exp``."""
 
     REFRESH_MARGIN = 60.0
 
@@ -254,16 +255,19 @@ class _TokenCache:
         with self._lock:
             pair = self._pairs.get(target_site)
             if pair is not None:
-                claims = peek_claims(pair["access"])
-                if claims.exp - time.time() > self.REFRESH_MARGIN:
+                if pair["exp"] - time.time() > self.REFRESH_MARGIN:
                     return pair["access"]
-                refreshed = self.federation._refresh_service_token(self.site_id, pair["refresh"])
-                if refreshed is not None:
-                    self._pairs[target_site] = refreshed
-                    return refreshed["access"]
-            pair = self.federation._acquire_service_tokens(self.site_id, self.service, target_site)
+                pair = self.federation._refresh_service_token(self.site_id, pair["refresh"])
+            if pair is None:
+                pair = self.federation._acquire_service_tokens(self.site_id, self.service, target_site)
             self._pairs[target_site] = pair
             return pair["access"]
+
+
+def _token_pair(result) -> dict:
+    """A pair as the tokens service returned it, with its access token's expiry."""
+    access = result["accessToken"]
+    return {"access": access, "refresh": result["refreshToken"], "exp": peek_claims(access).exp}
 
 
 class Federation:
@@ -524,22 +528,21 @@ class Federation:
         if response.status_code != 201:
             raise StartupError(f"service token acquisition failed for {service}@{site_id}: "
                                f"{response.text}")
-        pair = response.json()["result"][target_site]
-        return {"access": pair["accessToken"], "refresh": pair["refreshToken"]}
+        return _token_pair(response.json()["result"][target_site])
 
     def _refresh_service_token(self, site_id, refresh_token):
         response = self.request("POST", self._admin_host(site_id), "/v3/tokens/refresh",
                                 json_body={"refreshToken": refresh_token})
         if response.status_code != 201:
             return None
-        result = response.json()["result"]
-        return {"access": result["accessToken"], "refresh": result["refreshToken"]}
+        return _token_pair(response.json()["result"])
 
     def service_token(self, site_id, service, target_site) -> str:
         key = (site_id, service)
         cache = self._token_caches.get(key)
         if cache is None:
-            cache = self._token_caches[key] = _TokenCache(self, site_id, service)
+            # setdefault is one atomic step: threads that race here share one cache.
+            cache = self._token_caches.setdefault(key, _TokenCache(self, site_id, service))
         return cache.access_token(target_site)
 
     def receiving_site_for(self, tenant_id, service) -> str:

@@ -7,17 +7,19 @@ needs one token per site it talks to. Verification requires only a
 registry snapshot holding the tenant's public key, never a network call.
 
 Refresh tokens are single use: a consumed ``jti`` lands in a tombstone
-list and any replay is rejected.
+list until the token expires, and any replay is rejected.
 """
 
 from __future__ import annotations
 
 import base64
+import heapq
 import json
 import os
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,13 +171,41 @@ def peek_claims(token: str) -> TokenClaims:
     return TokenClaims.from_payload(payload)
 
 
-def verify(token, registry, clock=time.time) -> TokenClaims:
-    """Verify signature under the tenant's registered public key and expiry.
+VERIFIED_LIMIT = 1024  # tokens whose verified claims ``verify`` keeps
 
-    ``registry`` is any view exposing ``get_public_key(tenant_id)``.
-    """
-    if isinstance(token, bytes):
-        token = token.decode("ascii", errors="replace")
+
+class _VerifiedTokens:
+    """Tokens that passed ``verify``, least recently used first, each with
+    the tenant key PEM it verified under and its decoded claims."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._entries = OrderedDict()  # token -> (public_pem, claims)
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, token: str):
+        with self._lock:
+            entry = self._entries.get(token)
+            if entry is not None:
+                self._entries.move_to_end(token)
+            return entry
+
+    def put(self, token: str, public_pem: str, claims: TokenClaims):
+        with self._lock:
+            self._entries[token] = (public_pem, claims)
+            self._entries.move_to_end(token)
+            while len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+
+
+_verified = _VerifiedTokens(VERIFIED_LIMIT)
+
+
+def _verify_signature(token: str, registry) -> tuple[str, TokenClaims]:
+    """The tenant key PEM ``token`` verifies under, and its claims."""
     claims = peek_claims(token)
     public_pem = registry.get_public_key(claims.tenant_id)
     if not public_pem:
@@ -189,8 +219,28 @@ def verify(token, registry, clock=time.time) -> TokenClaims:
         raise BadSignature("signature does not verify under the tenant key") from exc
     except Exception as exc:
         raise MalformedToken(f"unverifiable token: {exc}") from exc
+    return public_pem, claims
+
+
+def verify(token, registry, clock=time.time) -> TokenClaims:
+    """Verify signature under the tenant's registered public key and expiry.
+
+    ``registry`` is any view exposing ``get_public_key(tenant_id)``.
+
+    A token that verified before, under the key the registry holds now for
+    its tenant, skips decoding and the RSA check: a changed or removed key
+    falls through to the full check, and ``exp`` is checked on every call.
+    Only tokens that passed every check are kept.
+    """
+    if isinstance(token, bytes):
+        token = token.decode("ascii", errors="replace")
+    entry = _verified.get(token)
+    hit = entry is not None and registry.get_public_key(entry[1].tenant_id) == entry[0]
+    public_pem, claims = entry if hit else _verify_signature(token, registry)
     if claims.exp <= clock():
         raise ExpiredToken("token expired")
+    if not hit:
+        _verified.put(token, public_pem, claims)
     return claims
 
 
@@ -201,40 +251,97 @@ class TokenPair:
 
 
 class MemoryTombstones:
-    def __init__(self):
-        self._used = set()
-        self._lock = threading.Lock()
+    """Consumed refresh-token ``jti``s, each kept until its token's ``exp``.
 
-    def consume(self, jti: str) -> bool:
-        """Atomically mark jti used; False when it already was."""
+    Past its ``exp`` a token already fails rule 1, so its entry is dropped
+    and the set holds only refresh tokens that are still alive. ``clock``
+    must be the clock that verifies the tokens.
+    """
+
+    def __init__(self, clock=time.time):
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._used = {}      # jti -> exp
+        self._by_exp = []    # heap of (exp, jti), one per entry of _used
+
+    def __len__(self):
+        with self._lock:
+            return len(self._used)
+
+    def consume(self, jti: str, exp: float) -> bool:
+        """Atomically mark jti used until exp; False when it already was."""
         with self._lock:
             if jti in self._used:
                 return False
-            self._used.add(jti)
+            self._prune()
+            self._add(jti, exp)
+            self._persist(jti, exp)
             return True
 
+    def _add(self, jti, exp):
+        self._used[jti] = exp
+        heapq.heappush(self._by_exp, (exp, jti))
 
-class FileTombstones:
-    """Tombstones persisted one jti per line, for durable deployments."""
+    def _prune(self):
+        now = self._clock()
+        while self._by_exp and self._by_exp[0][0] <= now:
+            del self._used[heapq.heappop(self._by_exp)[1]]
 
-    def __init__(self, path):
+    def _persist(self, jti, exp):
+        """Make a new entry durable before ``consume`` returns; memory keeps none."""
+
+
+def _tombstone_line(jti, exp) -> str:
+    return json.dumps([jti, exp]) + "\n"
+
+
+class FileTombstones(MemoryTombstones):
+    """Tombstones persisted one ``[jti, exp]`` JSON line each, for durable
+    deployments. The file is compacted to the live entries when it loads
+    and whenever it holds more than twice as many lines as live entries."""
+
+    COMPACT_SLACK = 64  # lines the file may hold beyond twice the live entries
+
+    def __init__(self, path, clock=time.time):
+        super().__init__(clock)
         self.path = Path(path)
-        self._lock = threading.Lock()
-        self._used = set()
+        self._lines = 0
         if self.path.exists():
-            self._used = set(self.path.read_text().split())
+            for line in self.path.read_text().splitlines():
+                jti, exp = json.loads(line)
+                if jti not in self._used:
+                    self._add(jti, exp)
+                self._lines += 1
+            self._prune()
+            self._compact()
 
-    def consume(self, jti: str) -> bool:
-        with self._lock:
-            if jti in self._used:
-                return False
-            self._used.add(jti)
-            with self.path.open("a") as fh:
-                fh.write(jti + "\n")
-                # On disk before the caller honors the token, so a crash cannot replay it.
-                fh.flush()
-                os.fsync(fh.fileno())
-            return True
+    def _persist(self, jti, exp):
+        with self.path.open("a") as fh:
+            fh.write(_tombstone_line(jti, exp))
+            # On disk before the caller honors the token, so a crash cannot replay it.
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._lines += 1
+        if self._lines > 2 * len(self._used) + self.COMPACT_SLACK:
+            self._compact()
+
+    def _compact(self):
+        """Rewrite the file to the live entries; a crash leaves the old or
+        the new file, never a partial one."""
+        if self._lines == len(self._used):
+            return
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with tmp.open("w") as fh:
+            fh.writelines(_tombstone_line(jti, exp) for jti, exp in self._used.items())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)
+        directory = os.open(self.path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)  # the rename itself survives a crash
+        finally:
+            os.close(directory)
+        self._lines = len(self._used)
 
 
 class TokenForge:
@@ -257,7 +364,7 @@ class TokenForge:
         self._clock = clock
         self.default_ttl = default_ttl
         self.refresh_ttl = refresh_ttl
-        self.tombstones = tombstones if tombstones is not None else MemoryTombstones()
+        self.tombstones = tombstones if tombstones is not None else MemoryTombstones(clock)
 
     def _issuer_url(self, tenant_id: str) -> str:
         try:
@@ -329,7 +436,7 @@ class TokenForge:
         claims = verify(refresh_token, self.registry, clock=self._clock)
         if claims.token_use != "refresh":
             raise MalformedToken("not a refresh token")
-        if not self.tombstones.consume(claims.jti):
+        if not self.tombstones.consume(claims.jti, claims.exp):
             raise ReusedToken("refresh token already used")
         target = claims.target_site
         ttl = self.default_ttl

@@ -334,6 +334,61 @@ def test_service_token_cache_refreshes_near_expiry():
         federation.close()
 
 
+def test_racing_first_calls_share_one_service_token_cache(monkeypatch):
+    from fedsec.sim import federation as federation_module
+
+    federation = build_federation(two_site_topology())
+    try:
+        acquires = []
+        acquire = federation._acquire_service_tokens
+
+        def counting_acquire(*args):
+            acquires.append(args)
+            return acquire(*args)
+
+        monkeypatch.setattr(federation, "_acquire_service_tokens", counting_acquire)
+        # Widen the window between finding no cache and storing one.
+        real_init = federation_module._TokenCache.__init__
+
+        def slow_init(self, *args):
+            time.sleep(0.05)
+            real_init(self, *args)
+
+        monkeypatch.setattr(federation_module._TokenCache, "__init__", slow_init)
+        start = threading.Barrier(4)
+        tokens = []
+
+        def first_call():
+            start.wait(timeout=10)
+            tokens.append(federation.service_token("prime", "jobs", "prime"))
+
+        threads = [threading.Thread(target=first_call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(tokens) == 4 and len(set(tokens)) == 1
+        assert len(acquires) == 1
+    finally:
+        federation.close()
+
+
+def test_a_cached_service_token_is_reused_without_decoding_it(monkeypatch):
+    from fedsec.sim import federation as federation_module
+
+    federation = build_federation(two_site_topology())
+    try:
+        token = federation.service_token("prime", "jobs", "prime")
+        decoded = []
+        peek = federation_module.peek_claims
+        monkeypatch.setattr(federation_module, "peek_claims", lambda t: decoded.append(t) or peek(t))
+        assert federation.service_token("prime", "jobs", "prime") == token
+        assert decoded == []
+    finally:
+        federation.close()
+
+
 def test_no_authn_route_serves_url_shares():
     federation = build_federation(walkthrough_topology_doc())
     try:

@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from fedsec.errors import ExportFailed, NotAuthorized, NotFound, QuotaExceeded
+from fedsec.errors import ExportFailed, NotAuthorized, NotFound, QuotaExceeded, SecretMisplaced
 from fedsec.identity import BOOTSTRAP, OPERATOR, SK_INTERNAL, Caller
 from fedsec.secrets import (
     FileKvBackend,
@@ -282,3 +282,35 @@ def test_memory_backend_stores_only_ciphertext():
     store.write_secret(cred_path(), SecretValue(b"plaintext-cred"), SYSTEMS)
     for _, blob in backend.items():
         assert b"plaintext-cred" not in blob
+
+
+def test_a_blob_copied_to_another_key_is_refused():
+    # Bob's credential for execSys, copied over alice's: the copy
+    # authenticates under the master key but was written for bob's key.
+    backend = MemoryKvBackend()
+    store = SecretsService(backend=backend, site_id="prime", admin_tenant=ADMIN)
+    store.write_secret(cred_path("bob"), SecretValue(b"bob-key"), SYSTEMS)
+    store.write_secret(cred_path("alice"), SecretValue(b"alice-key"), SYSTEMS)
+    bob_blob = backend.get(f"{cred_path('bob').render()}/v1")
+    backend.put(f"{cred_path('alice').render()}/v1", bob_blob)
+    backend.put(f"{cred_path('alice').render()}/v2", bob_blob)
+    with pytest.raises(SecretMisplaced):
+        store.read_secret(cred_path("alice"), FILES)
+    with pytest.raises(SecretMisplaced):
+        store.read_secret(cred_path("alice"), FILES, version=1)
+    with pytest.raises(SecretMisplaced):
+        store.export_backup("tenant", "tenant1", OPERATOR)
+    assert store.read_secret(cred_path("bob"), FILES).payload == b"bob-key"
+
+
+def test_a_service_password_moved_to_another_service_does_not_validate():
+    backend = MemoryKvBackend()
+    store = SecretsService(backend=backend, site_id="prime", admin_tenant=ADMIN)
+    for service, password in (("jobs", b"jobs-pw"), ("apps", b"apps-pw")):
+        store.write_secret(SecretPath(ADMIN, SecretCategory.SERVICE_PASSWORD, service, "password"),
+                           SecretValue(password), BOOTSTRAP)
+    jobs_key = SecretPath(ADMIN, SecretCategory.SERVICE_PASSWORD, "jobs", "password").render()
+    apps_key = SecretPath(ADMIN, SecretCategory.SERVICE_PASSWORD, "apps", "password").render()
+    backend.put(f"{apps_key}/v1", backend.get(f"{jobs_key}/v1"))
+    with pytest.raises(SecretMisplaced):
+        store.validate_service_password("apps", "prime", b"jobs-pw", TOKENS)

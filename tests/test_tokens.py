@@ -1,9 +1,13 @@
+import json
 import os
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsec import tokens
 from fedsec.errors import (
     BadCredentials,
     BadSignature,
@@ -11,15 +15,19 @@ from fedsec.errors import (
     MalformedToken,
     NotAuthorized,
     ReusedToken,
+    SecurityError,
     UnknownSite,
     UnknownTenant,
 )
+from fedsec.gatekeeper import InboundRequest, validate_request
 from fedsec.identity import BOOTSTRAP, Caller
 from fedsec.rbac import TOKEN_GENERATOR_ROLE, RbacService
-from fedsec.registry import Registry
+from fedsec.registry import Registry, RegistrySnapshot
 from fedsec.secrets import SecretCategory, SecretPath, SecretsService, SecretValue
 from fedsec.tokens import (
+    VERIFIED_LIMIT,
     FileTombstones,
+    MemoryTombstones,
     TokenClaims,
     TokenForge,
     encode_token,
@@ -242,12 +250,12 @@ def test_fuzzed_claims_round_trip(shared_site, username, ttl):
 
 def test_file_tombstones_persist(tmp_path):
     path = tmp_path / "tombstones.txt"
-    t1 = FileTombstones(path)
-    assert t1.consume("jti-1") is True
-    assert t1.consume("jti-1") is False
-    t2 = FileTombstones(path)
-    assert t2.consume("jti-1") is False
-    assert t2.consume("jti-2") is True
+    t1 = FileTombstones(path, clock=lambda: 100.0)
+    assert t1.consume("jti-1", 200.0) is True
+    assert t1.consume("jti-1", 200.0) is False
+    t2 = FileTombstones(path, clock=lambda: 100.0)
+    assert t2.consume("jti-1", 200.0) is False
+    assert t2.consume("jti-2", 200.0) is True
 
 
 def test_file_tombstone_is_synced_before_consume_returns(tmp_path, monkeypatch):
@@ -260,5 +268,225 @@ def test_file_tombstone_is_synced_before_consume_returns(tmp_path, monkeypatch):
         synced.append(path.read_text())  # what a crash right after fsync would keep
 
     monkeypatch.setattr(os, "fsync", spy)
-    assert FileTombstones(path).consume("jti-1") is True
-    assert synced == ["jti-1\n"]
+    assert FileTombstones(path, clock=lambda: 100.0).consume("jti-1", 200.0) is True
+    assert synced == ['["jti-1", 200.0]\n']
+
+
+# -- tombstones are bounded by the refresh tokens' expiry --
+
+def test_replayed_refresh_token_is_reused_until_it_expires(site):
+    forge, _, _, now = site
+    first = forge.issue_service_tokens("jobs", b"jobs-pw", "prime", ["prime"])["prime"]
+    forge.refresh(first.refresh)
+    # Just before the refresh token's exp, after other refreshes pruned the set.
+    now[0] += forge.refresh_ttl - 1
+    forge.refresh(forge.issue_service_tokens("jobs", b"jobs-pw", "prime", ["prime"])["prime"].refresh)
+    with pytest.raises(ReusedToken):
+        forge.refresh(first.refresh)
+    now[0] += 1
+    with pytest.raises(ExpiredToken):
+        forge.refresh(first.refresh)
+
+
+def test_tombstones_drop_entries_past_their_expiry(site):
+    forge, _, _, now = site
+    for _ in range(3):
+        forge.refresh(forge.issue_service_tokens("jobs", b"jobs-pw", "prime", ["prime"])["prime"].refresh)
+    assert len(forge.tombstones) == 3
+    now[0] += forge.refresh_ttl
+    forge.refresh(forge.issue_service_tokens("jobs", b"jobs-pw", "prime", ["prime"])["prime"].refresh)
+    assert len(forge.tombstones) == 1
+
+
+def test_memory_tombstones_keep_an_entry_until_its_exp():
+    now = [100.0]
+    stones = MemoryTombstones(clock=lambda: now[0])
+    assert stones.consume("a", 150.0) and stones.consume("b", 300.0)
+    now[0] = 149.0
+    assert stones.consume("c", 400.0) and len(stones) == 3
+    assert not stones.consume("a", 150.0)
+    now[0] = 150.0
+    # Its verify passed just before exp: the replay still finds the entry.
+    assert not stones.consume("a", 150.0)
+    assert stones.consume("d", 400.0) and len(stones) == 3  # "a" dropped
+
+
+def test_tombstone_file_compacts_on_load(tmp_path):
+    path = tmp_path / "tombstones.txt"
+    now = [100.0]
+    stones = FileTombstones(path, clock=lambda: now[0])
+    for jti, exp in (("a", 150.0), ("b", 250.0), ("c", 350.0)):
+        assert stones.consume(jti, exp)
+    now[0] = 260.0
+    reloaded = FileTombstones(path, clock=lambda: now[0])
+    assert [json.loads(line) for line in path.read_text().splitlines()] == [["c", 350.0]]
+    assert len(reloaded) == 1
+    assert not reloaded.consume("c", 350.0)
+    assert reloaded.consume("a", 450.0)  # expired and dropped: rule 1 now stops a replay
+
+
+def test_tombstone_file_stays_compact_while_running(tmp_path):
+    path = tmp_path / "tombstones.txt"
+    now = [0.0]
+    stones = FileTombstones(path, clock=lambda: now[0])
+    for i in range(500):
+        assert stones.consume(f"jti-{i}", now[0] + 1)
+        now[0] += 2  # each entry expires before the next consume
+        lines = len(path.read_text().splitlines())
+        assert lines <= 2 * len(stones) + FileTombstones.COMPACT_SLACK + 1
+    assert len(stones) == 1
+
+
+# -- the verified-token cache --
+
+@pytest.fixture
+def verified(monkeypatch):
+    """A fresh verified-token cache, and the count of full signature checks."""
+    cache = tokens._VerifiedTokens(VERIFIED_LIMIT)
+    monkeypatch.setattr(tokens, "_verified", cache)
+    checks = []
+    real = tokens._verify_signature
+
+    def counting(token, registry):
+        checks.append(token)
+        return real(token, registry)
+
+    monkeypatch.setattr(tokens, "_verify_signature", counting)
+    return cache, checks
+
+
+def test_a_repeated_verify_skips_the_signature_check(site, verified):
+    forge, registry, _, now = site
+    cache, checks = verified
+    token = forge.issue_user_token(AUTHENTICATOR, "tenant1", "bob")
+    first = verify(token, registry, clock=lambda: now[0])
+    second = verify(token.encode(), registry, clock=lambda: now[0])
+    assert first == second
+    assert len(checks) == 1 and len(cache) == 1
+
+
+def test_a_cached_token_expires(site, verified):
+    forge, registry, _, now = site
+    _, checks = verified
+    token = forge.issue_user_token(AUTHENTICATOR, "tenant1", "bob", ttl=10)
+    verify(token, registry, clock=lambda: now[0])
+    now[0] += 10
+    with pytest.raises(ExpiredToken):
+        verify(token, registry, clock=lambda: now[0])
+    assert len(checks) == 1  # rejected by the cached entry's exp
+
+
+def test_a_replaced_key_rejects_the_cached_token_at_rule_1(site, verified, keypool):
+    forge, registry, keys, now = site
+    token = forge.issue_user_token(AUTHENTICATOR, "tenant1", "bob")
+    request = InboundRequest(token=token, target_service="security-kernel", receiving_site="prime")
+    assert validate_request(request, registry, clock=lambda: now[0]).accepted
+    registry.replace_public_key("tenant1", keypool[5][1])
+    with pytest.raises(BadSignature):
+        verify(token, registry, clock=lambda: now[0])
+    verdict = validate_request(request, registry, clock=lambda: now[0])
+    assert (verdict.accepted, verdict.rule_violated) == (False, "1")
+    registry.replace_public_key("tenant1", keys["tenant1"][1])
+    assert validate_request(request, registry, clock=lambda: now[0]).accepted
+
+
+def test_a_removed_tenant_rejects_the_cached_token(site, verified):
+    forge, registry, _, now = site
+    token = forge.issue_user_token(AUTHENTICATOR, "tenant1", "bob")
+    verify(token, registry, clock=lambda: now[0])
+    snap = registry.snapshot
+    without = RegistrySnapshot(snap.sites.values(),
+                               [t for t in snap.tenants.values() if t.tenant_id != "tenant1"])
+    with pytest.raises(UnknownTenant):
+        verify(token, without, clock=lambda: now[0])
+
+
+def test_a_tampered_token_never_hits(site, verified):
+    forge, registry, _, now = site
+    _, checks = verified
+    token = forge.issue_user_token(AUTHENTICATOR, "tenant1", "bob")
+    verify(token, registry, clock=lambda: now[0])
+    for i, char in enumerate(token):
+        tampered = token[:i] + ("A" if char != "A" else "B") + token[i + 1:]
+        checks.clear()
+        try:
+            verify(tampered, registry, clock=lambda: now[0])
+        except SecurityError:
+            pass
+        assert checks == [tampered], f"character {i} hit the cache"
+
+
+def test_a_failed_verify_is_never_cached(site, verified, keypool):
+    forge, registry, keys, now = site
+    cache, _ = verified
+    expired = forge.issue_user_token(AUTHENTICATOR, "tenant1", "bob", ttl=10)
+    forged = encode_token(TokenClaims(jti="x", sub="eve@tenant1", tenant_id="tenant1",
+                                      account_type="user", exp=now[0] + 100, iat=now[0]),
+                          keys["tenant2"][0])
+    ghost = encode_token(TokenClaims(jti="g", sub="u@ghost", tenant_id="ghost",
+                                     account_type="user", exp=now[0] + 100, iat=now[0]),
+                         keys["tenant1"][0])
+    for token, error in ((expired, ExpiredToken), (forged, BadSignature),
+                         (ghost, UnknownTenant), ("not-a-token", MalformedToken)):
+        with pytest.raises(error):
+            verify(token, registry, clock=lambda: now[0] + 11)
+    assert len(cache) == 0
+
+
+def test_the_cache_never_exceeds_its_bound(site, monkeypatch):
+    forge, registry, _, now = site
+    assert tokens._verified.limit == VERIFIED_LIMIT  # the process-wide cache
+    cache = tokens._VerifiedTokens(4)
+    monkeypatch.setattr(tokens, "_verified", cache)
+    issued = [forge.issue_user_token(AUTHENTICATOR, "tenant1", f"u{i}") for i in range(10)]
+    for token in issued:
+        verify(token, registry, clock=lambda: now[0])
+        assert len(cache) <= 4
+    # The least recently used go first: a hit keeps an entry.
+    verify(issued[6], registry, clock=lambda: now[0])
+    verify(issued[0], registry, clock=lambda: now[0])
+    assert cache.get(issued[6]) is not None and cache.get(issued[7]) is None
+    assert len(cache) == 4
+
+
+def test_a_replayed_refresh_token_is_reused_even_when_its_verify_is_cached(site, verified):
+    forge, registry, _, now = site
+    _, checks = verified
+    pair = forge.issue_service_tokens("jobs", b"jobs-pw", "prime", ["prime"])["prime"]
+    verify(pair.refresh, registry, clock=lambda: now[0])
+    forge.refresh(pair.refresh)
+    with pytest.raises(ReusedToken):
+        forge.refresh(pair.refresh)
+    assert checks == [pair.refresh]  # both refreshes verified from the cache
+
+
+def test_verify_from_many_threads_over_more_tokens_than_the_bound(site, monkeypatch):
+    forge, registry, _, now = site
+    monkeypatch.setattr(tokens, "_verified", tokens._VerifiedTokens(8))
+    issued = [(f"u{i}@tenant1", forge.issue_user_token(AUTHENTICATOR, "tenant1", f"u{i}"))
+              for i in range(32)]
+    errors = []
+    start = threading.Barrier(12)
+
+    def worker(offset):
+        try:
+            start.wait(timeout=10)
+            for k in range(300):
+                sub, token = issued[(offset * 7 + k) % len(issued)]
+                assert verify(token, registry, clock=lambda: now[0]).sub == sub
+                assert len(tokens._verified) <= 8
+        except BaseException as exc:  # reported below, in the test's own thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
