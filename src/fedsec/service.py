@@ -18,9 +18,9 @@ import base64
 import hmac
 import inspect
 import re
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import NotAuthorized, SecurityError, StartupError
 from .gatekeeper import InboundRequest, validate_request
@@ -29,7 +29,8 @@ from .rbac import TENANT_ADMIN_ROLE
 from .router import RouteKind, forward, route
 from .secrets import SecretCategory, SecretPath, SecretValue
 from .sharing import ShareGrant
-from .wire import BadRequestBody, Request, Response, b64, fail, ok
+from .wire import (BadRequestBody, FramingError, Request, Response, b64, content_length,
+                   encode_response, fail, ok, read_headers, read_line)
 
 
 def rejection_response(verdict) -> Response:
@@ -409,47 +410,70 @@ class SiteRuntime:
         return app.dispatch(req)
 
 
-class _SiteHTTPHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+_METHODS = frozenset({"GET", "POST", "PUT", "DELETE"})
+
+
+class _SiteHTTPHandler(socketserver.StreamRequestHandler):
+    """Serves the requests of one keep-alive connection in order, and writes
+    each response with one ``sendall``. A framing mistake answers 4xx (501
+    for an unknown method) and closes the connection; EOF before a request
+    is whole closes it without dispatching."""
+
     # Nagle + delayed ACK stalls small request/response pairs by ~40ms on
     # loopback, swamping every latency the harness measures.
     disable_nagle_algorithm = True
 
-    def log_message(self, fmt, *args):
-        pass
+    def handle(self):
+        while True:
+            try:
+                request = self._read_request()
+            except FramingError as exc:
+                self._respond(fail(exc.status, exc.code, str(exc)), close=True)
+                return
+            if request is None:
+                return
+            method, target, headers, body, close = request
+            host = headers.get("host", "").split(":")[0]
+            try:
+                response = self.server.runtime.handle(method, host, target, headers, body)
+            except Exception as exc:  # last-resort guard; handlers map their own errors
+                response = fail(500, "INTERNAL_ERROR", f"{type(exc).__name__}: {exc}")
+            self._respond(response, close)
+            if close:
+                return
 
-    def _handle(self, method):
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_request(self):
+        """The next request and whether to close after it; None at EOF."""
+        line = read_line(self.rfile, too_long=414)
+        if not line:
+            return None
+        parts = line.split(" ")
+        if len(parts) != 3 or not parts[1] or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            raise FramingError(400, "BAD_REQUEST", f"malformed request line {line[:80]!r}")
+        method, target, version = parts
+        if method not in _METHODS:
+            raise FramingError(501, "NOT_IMPLEMENTED", f"unsupported method {method[:80]!r}")
+        if target.startswith("//"):  # never read as a network location
+            target = "/" + target.lstrip("/")
+        headers = read_headers(self.rfile)
+        length = content_length(headers) or 0
         body = self.rfile.read(length) if length else b""
-        host = (self.headers.get("Host") or "").split(":")[0]
-        try:
-            response = self.server.runtime.handle(method, host, self.path,
-                                                  dict(self.headers), body)
-        except Exception as exc:  # last-resort guard; handlers map their own errors
-            response = fail(500, "INTERNAL_ERROR", f"{type(exc).__name__}: {exc}")
+        if len(body) < length:
+            return None
+        connection = headers.get("connection", "").lower()
+        close = connection == "close" or (version == "HTTP/1.0" and connection != "keep-alive")
+        return method, target, headers, body, close
+
+    def _respond(self, response: Response, close: bool):
         payload = response.encoded()
-        self.send_response(response.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for key, value in response.headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_GET(self):
-        self._handle("GET")
-
-    def do_POST(self):
-        self._handle("POST")
-
-    def do_PUT(self):
-        self._handle("PUT")
-
-    def do_DELETE(self):
-        self._handle("DELETE")
+        headers = {"Content-Type": "application/json", "Content-Length": len(payload),
+                   **response.headers}
+        if close:
+            headers["Connection"] = "close"
+        self.wfile.write(encode_response(response.status, headers, payload))
 
 
-class SiteServer(ThreadingHTTPServer):
+class SiteServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
     # Default backlog (5) overflows when a load run's virtual users connect

@@ -12,24 +12,29 @@ refreshed near expiry).
 
 Every simulated client call (logins, token acquire and refresh, associate
 registry fetches, service-to-service hops) goes through ``request_at_site``
-over ``http.client``: one keep-alive connection per site and thread, owned
-by the federation and closed by ``Federation.close``. A pooled connection
-that the server closed while it sat idle is reopened once; a fresh one is
-never retried. An associate's forward transport opens one fresh connection
-per forwarded hop, so an unreachable primary is always detected, and
-injects the configured link latency on both legs. Paths and queries are
-encoded as ``requests`` (urllib3) encoded them; see ``_request_target``.
+as plain HTTP/1.1 over a loopback socket, framed by ``fedsec.wire`` as the
+site listeners frame it: each request is written with one ``sendall`` and
+its response read through the same head reader, with exactly
+``Content-Length`` bytes of body. There is one keep-alive connection per
+site and thread, owned by the federation and closed by ``Federation.close``;
+a response that announces ``Connection: close`` closes it instead. A pooled
+connection that the server closed while it sat idle is reopened once; a
+fresh one is never retried. An associate's forward transport opens one
+fresh connection per forwarded hop, so an unreachable primary is always
+detected, and injects the configured link latency on both legs. Paths and
+queries are encoded as ``requests`` (urllib3) encoded them; see
+``_request_target``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 import weakref
 from collections import deque
-from http.client import HTTPConnection
 from urllib.parse import quote, urlencode
 
 from ..errors import StartupError, TopologyInvalid
@@ -43,7 +48,8 @@ from ..service import SiteRuntime, rejection_response, serve_site
 from ..sharing import SharingService
 from ..skadmin import BootstrapConfig, run_bootstrap
 from ..tokens import TokenForge, peek_claims
-from ..wire import Request, Response, fail, ok
+from ..wire import (FramingError, Request, Response, content_length, encode_request, fail, ok,
+                    read_headers, read_line)
 from .stubs import STUB_APPS
 from .topology import Topology
 
@@ -108,15 +114,47 @@ class ClientResponse:
         return json.loads(self.content)
 
 
-def _exchange(conn: HTTPConnection, method, target, body, headers) -> ClientResponse:
-    """One request and its whole response on ``conn``; closes ``conn`` on failure."""
+class _Connection:
+    """One client connection to a site listener."""
+
+    def __init__(self, port):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=CLIENT_TIMEOUT)
+        self.rfile = self.sock.makefile("rb")
+
+    @property
+    def closed(self) -> bool:
+        return self.rfile.closed
+
+    def close(self):
+        self.rfile.close()
+        self.sock.close()
+
+
+def _exchange(conn: _Connection, method, target, body, headers) -> ClientResponse:
+    """One request and its whole response on ``conn``; closes ``conn`` on
+    failure and when the response announces ``Connection: close``."""
     try:
-        conn.request(method, target, body=body, headers=headers)
-        response = conn.getresponse()
-        return ClientResponse(response.status, response.headers, response.read())
+        conn.sock.sendall(encode_request(method, target, headers, body))
+        line = read_line(conn.rfile)
+        if not line:
+            raise ConnectionResetError("the site closed the connection before the status line")
+        version, _, rest = line.partition(" ")
+        status = rest[:3]
+        if not (version.startswith("HTTP/1.") and status.isdigit() and status.isascii()):
+            raise FramingError(502, "BAD_GATEWAY", f"malformed status line {line[:80]!r}")
+        response_headers = read_headers(conn.rfile)
+        length = content_length(response_headers)
+        if length is None:
+            raise FramingError(502, "BAD_GATEWAY", "response without Content-Length")
+        content = conn.rfile.read(length)
+        if len(content) < length:
+            raise FramingError(502, "BAD_GATEWAY", "the site closed the connection mid-body")
     except BaseException:
         conn.close()
         raise
+    if response_headers.get("connection", "").lower() == "close":
+        conn.close()
+    return ClientResponse(int(status), response_headers, content)
 
 
 class _IdleConnections(dict):
@@ -151,11 +189,12 @@ class _SiteConnections:
             except ConnectionError:
                 conn = None  # closed by the server while idle: reopen once
         if conn is None:
-            conn = HTTPConnection("127.0.0.1", port, timeout=CLIENT_TIMEOUT)
+            conn = _Connection(port)
             with self._lock:
                 self._opened.add(conn)
             response = _exchange(conn, method, target, body, headers)
-        idle[port] = conn
+        if not conn.closed:
+            idle[port] = conn
         return response
 
     def close(self):
@@ -178,19 +217,15 @@ class Transcript:
 
     def record(self, actor, action, target=None, sac=False, **detail):
         with self._lock:
-            self._entries.append({
-                "seq": self._seq,
-                "actor": actor,
-                "action": action,
-                "target": target,
-                "sac": sac,
-                "detail": detail,
-            })
+            # A tuple, with an empty detail as None, keeps an entry near 60% of a dict's size.
+            self._entries.append((self._seq, actor, action, target, sac, detail or None))
             self._seq += 1
 
     def snapshot(self):
         with self._lock:
-            return [dict(e) for e in self._entries]
+            entries = list(self._entries)
+        return [{"seq": seq, "actor": actor, "action": action, "target": target, "sac": sac,
+                 "detail": detail or {}} for seq, actor, action, target, sac, detail in entries]
 
     def clear(self):
         with self._lock:
@@ -458,8 +493,7 @@ class Federation:
             hop_headers["Connection"] = "close"
             # One fresh connection per hop: a pooled connection can outlive
             # the primary's listener and mask an unreachable site.
-            hop = HTTPConnection("127.0.0.1", self.ports[self.primary_id],
-                                 timeout=CLIENT_TIMEOUT)
+            hop = _Connection(self.ports[self.primary_id])
             try:
                 response = _exchange(hop, req.method, _request_target(req.path, req.query),
                                      req.body or None, hop_headers)

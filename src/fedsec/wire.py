@@ -3,20 +3,107 @@
 Every response body is one envelope: ``{status, message, result, version}``.
 Errors carry a machine-readable ``result.code`` (and ``result.rule`` for
 request-validation rejections) so clients never parse prose.
+
+The HTTP/1.1 framing both directions share lives here too: one reader for
+a message head (start line and header fields, ISO-8859-1 as the standard
+library decodes them), one ``Content-Length`` check, and one encoder that
+writes a whole request or response as a single ``bytes`` object. A head
+that breaks the framing rules raises ``FramingError`` with the status that
+answers it.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 API_VERSION = "1.0"
 
+MAX_LINE = 65536          # bytes in a start line or header line
+MAX_HEADERS = 100         # header fields in one head
+MAX_BODY = 64 * 1024 * 1024  # bytes a Content-Length may announce
+
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
 
 class BadRequestBody(Exception):
     pass
+
+
+class FramingError(Exception):
+    """A message head or length that breaks the framing; ``status`` answers it."""
+
+    def __init__(self, status: int, code: str, message: str):
+        super().__init__(message)
+        self.status = status
+        self.code = code
+
+
+def read_line(rfile, too_long: int = 431) -> str:
+    """One CRLF- or LF-terminated line without its ending, "" at EOF; a line
+    over ``MAX_LINE`` bytes raises ``FramingError(too_long)``."""
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise FramingError(too_long, "LINE_TOO_LONG", f"line longer than {MAX_LINE} bytes")
+    return line.decode("iso-8859-1").rstrip("\r\n")
+
+
+def read_headers(rfile) -> dict:
+    """The header fields up to the blank line, keyed by lower-cased name."""
+    headers = {}
+    while True:
+        line = read_line(rfile)
+        if not line:
+            return headers
+        name, colon, value = line.partition(":")
+        if not colon or not _TOKEN.fullmatch(name):
+            raise FramingError(400, "BAD_REQUEST", f"malformed header line {line[:80]!r}")
+        name = name.lower()
+        if name in headers:
+            raise FramingError(400, "BAD_REQUEST", f"repeated header {name!r}")
+        if len(headers) == MAX_HEADERS:
+            raise FramingError(431, "TOO_MANY_HEADERS", f"more than {MAX_HEADERS} headers")
+        headers[name] = value.strip(" \t")
+
+
+def content_length(headers: dict):
+    """The body length the headers announce, None when they announce none.
+    Any ``Transfer-Encoding`` is refused: every message here is length-framed."""
+    if "transfer-encoding" in headers:
+        raise FramingError(400, "BAD_REQUEST", "Transfer-Encoding is not supported")
+    value = headers.get("content-length")
+    if value is None:
+        return None
+    if not (value.isdigit() and value.isascii()):
+        raise FramingError(400, "BAD_REQUEST", f"malformed Content-Length {value[:80]!r}")
+    length = int(value)
+    if length > MAX_BODY:
+        raise FramingError(413, "BODY_TOO_LARGE", f"body longer than {MAX_BODY} bytes")
+    return length
+
+
+def _message(start_line: str, headers: dict, body: bytes) -> bytes:
+    head = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+    if head.count("\n") != len(headers) or head.count("\r") != len(headers):
+        raise ValueError("a header name or value contains CR or LF")
+    return f"{start_line}\r\n{head}\r\n".encode("iso-8859-1") + body
+
+
+def encode_request(method: str, target: str, headers: dict, body=None) -> bytes:
+    """A whole HTTP/1.1 request; a body adds its ``Content-Length``."""
+    if body is not None:
+        headers = {**headers, "Content-Length": len(body)}
+    return _message(f"{method} {target} HTTP/1.1", headers, body or b"")
+
+
+def encode_response(status: int, headers: dict, body: bytes) -> bytes:
+    """A whole HTTP/1.1 response; ``headers`` must carry its ``Content-Length``."""
+    return _message(f"HTTP/1.1 {status} {_REASONS.get(status, '')}", headers, body)
 
 
 def b64(text) -> bytes:

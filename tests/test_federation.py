@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -473,6 +474,23 @@ def test_transcript_keeps_only_the_most_recent_entries():
     assert [e["seq"] for e in transcript.snapshot()] == [0]
 
 
+def test_transcript_entries_stay_compact():
+    transcript = Transcript()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(10_000):
+            transcript.record("jobs@prime", "service-call", target="systems@prime/v3/systems/s",
+                              sac=True, obo="bob@tenant1")
+        retained = (tracemalloc.get_traced_memory()[0] - before) / 10_000
+    finally:
+        tracemalloc.stop()
+    assert retained < 400  # bytes per retained entry
+    assert transcript.snapshot()[-1] == {
+        "seq": 9_999, "actor": "jobs@prime", "action": "service-call",
+        "target": "systems@prime/v3/systems/s", "sac": True, "detail": {"obo": "bob@tenant1"}}
+
+
 # ----------------------------------------------------------------------
 # the simulated clients' HTTP transports
 
@@ -480,7 +498,9 @@ def test_transcript_keeps_only_the_most_recent_entries():
 class _OneRequestHandler(BaseHTTPRequestHandler):
     """Records each request line and answers it, if the server says so,
     then closes the connection without announcing it, as a listener that
-    times out idle connections does."""
+    times out idle connections does. When the server says ``announcing``,
+    each answer carries ``Connection: close`` instead, yet the listener
+    would serve one more request on the connection."""
 
     protocol_version = "HTTP/1.1"
 
@@ -491,11 +511,15 @@ class _OneRequestHandler(BaseHTTPRequestHandler):
         self.server.connections += 1
         if self.server.answering:
             self.handle_one_request()
+            if self.server.announcing:
+                self.handle_one_request()
 
     def do_GET(self):
         self.server.seen.append((self.path, self.headers.get("Content-Type")))
         self.send_response(200)
         self.send_header("Content-Length", "2")
+        if self.server.announcing:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(b"{}")
 
@@ -507,7 +531,7 @@ def closing_site():
     """A federation whose one site, "x", is a ``_OneRequestHandler`` listener."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _OneRequestHandler)
     server.daemon_threads = True
-    server.connections, server.answering, server.seen = 0, True, []
+    server.connections, server.answering, server.announcing, server.seen = 0, True, False, []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     federation = Federation(Topology.from_dict(two_site_topology()))
@@ -530,6 +554,14 @@ def test_pooled_connection_closed_by_the_server_is_reopened_once(closing_site):
     with pytest.raises(ConnectionError):
         federation.request_at_site("x", "h", "GET", "/a")
     assert server.connections == 3  # one reopen, and the fresh connection is not retried
+
+
+def test_a_response_announcing_close_is_not_pooled(closing_site):
+    federation, server = closing_site
+    server.announcing = True
+    for _ in range(2):
+        assert federation.request_at_site("x", "h", "GET", "/a").status_code == 200
+    assert server.connections == 2  # the listener would have served both on one
 
 
 def test_paths_and_queries_reach_the_site_encoded_as_requests_sent_them(closing_site):
