@@ -416,12 +416,13 @@ _METHODS = frozenset({"GET", "POST", "PUT", "DELETE"})
 class _SiteHTTPHandler(socketserver.StreamRequestHandler):
     """Serves the requests of one keep-alive connection in order, and writes
     each response with one ``sendall``. A framing mistake answers 4xx (501
-    for an unknown method) and closes the connection; EOF before a request
-    is whole closes it without dispatching."""
+    for an unknown method) and closes the connection; EOF or ``timeout`` before
+    a request is whole, or a request after the site closed, closes it unanswered."""
 
     # Nagle + delayed ACK stalls small request/response pairs by ~40ms on
     # loopback, swamping every latency the harness measures.
     disable_nagle_algorithm = True
+    timeout = 60.0  # seconds a read may wait; then the connection closes quietly
 
     def handle(self):
         while True:
@@ -430,7 +431,9 @@ class _SiteHTTPHandler(socketserver.StreamRequestHandler):
             except FramingError as exc:
                 self._respond(fail(exc.status, exc.code, str(exc)), close=True)
                 return
-            if request is None:
+            except TimeoutError:
+                return
+            if request is None or self.server.socket.fileno() < 0:
                 return
             method, target, headers, body, close = request
             host = headers.get("host", "").split(":")[0]

@@ -19,10 +19,10 @@ its response read through the same head reader, with exactly
 site and thread, owned by the federation and closed by ``Federation.close``;
 a response that announces ``Connection: close`` closes it instead. A pooled
 connection that the server closed while it sat idle is reopened once; a
-fresh one is never retried. An associate's forward transport opens one
-fresh connection per forwarded hop, so an unreachable primary is always
-detected, and injects the configured link latency on both legs. Paths and
-queries are encoded as ``requests`` (urllib3) encoded them; see
+fresh one is never retried. An associate's forward transport relays each
+request over the same connections, its target as the listener received
+it, and injects the configured link latency on both legs. Every other
+path and query is encoded as ``requests`` (urllib3) encoded it; see
 ``_request_target``.
 """
 
@@ -487,18 +487,11 @@ class Federation:
             if delay:
                 time.sleep(delay)
             hop_headers = {k: v for k, v in req.headers.items()
-                           if k.lower().startswith("x-tapis") or k.lower().startswith("x-sim")
-                           or k.lower() in ("content-type", "authorization")}
+                           if k.startswith(("x-tapis", "x-sim"))
+                           or k in ("content-type", "authorization")}
             hop_headers["Host"] = req.host
-            hop_headers["Connection"] = "close"
-            # One fresh connection per hop: a pooled connection can outlive
-            # the primary's listener and mask an unreachable site.
-            hop = _Connection(self.ports[self.primary_id])
-            try:
-                response = _exchange(hop, req.method, _request_target(req.path, req.query),
-                                     req.body or None, hop_headers)
-            finally:
-                hop.close()
+            response = self._connections.send(self.ports[self.primary_id], req.method,
+                                              req.target, req.body or None, hop_headers)
             if delay:
                 time.sleep(delay)
             self.transcript.record(f"router@{from_site}", "forwarded-to-primary",

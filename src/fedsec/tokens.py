@@ -195,10 +195,10 @@ class _VerifiedTokens:
 
     def put(self, token: str, public_pem: str, claims: TokenClaims):
         with self._lock:
-            self._entries[token] = (public_pem, claims)
-            self._entries.move_to_end(token)
-            while len(self._entries) > self.limit:
+            # Evict before inserting: ``len`` reads without the lock and never sees limit + 1.
+            if self._entries.pop(token, None) is None and len(self._entries) >= self.limit:
                 self._entries.popitem(last=False)
+            self._entries[token] = (public_pem, claims)
 
 
 _verified = _VerifiedTokens(VERIFIED_LIMIT)

@@ -96,6 +96,8 @@ def _message(start_line: str, headers: dict, body: bytes) -> bytes:
 
 def encode_request(method: str, target: str, headers: dict, body=None) -> bytes:
     """A whole HTTP/1.1 request; a body adds its ``Content-Length``."""
+    if any(char in target for char in " \r\n"):
+        raise ValueError("a request target contains a space, CR or LF")
     if body is not None:
         headers = {**headers, "Content-Length": len(body)}
     return _message(f"{method} {target} HTTP/1.1", headers, body or b"")
@@ -119,6 +121,7 @@ class Request:
     body: bytes = b""
     host: str = ""
     query: dict = field(default_factory=dict)
+    target: str = ""  # as received, so a forwarded hop relays it unchanged
 
     @classmethod
     def from_wire(cls, method, target, headers, body, host="") -> "Request":
@@ -126,7 +129,7 @@ class Request:
         query = {k: v[0] for k, v in parse_qs(parts.query).items()}
         lowered = {k.lower(): v for k, v in headers.items()}
         return cls(method=method.upper(), path=parts.path, headers=lowered,
-                   body=body or b"", host=host, query=query)
+                   body=body or b"", host=host, query=query, target=target)
 
     def header(self, name, default=None):
         return self.headers.get(name.lower(), default)

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import fedsec
+import fedsec.sim.federation as federation_module
+from fedsec.gatekeeper import TOKEN_HEADER
 from fedsec.identity import UserIdentity
 from fedsec.sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER
 from fedsec.sim.federation import TRANSCRIPT_LIMIT, Federation, Transcript, build_federation
@@ -203,16 +205,42 @@ def test_forwarded_request_headers_and_payload_identical():
     federation = build_federation(two_site_topology())
     try:
         carol = federation.login("tenant2", "carol")
-        # apps runs only at the primary: tenant2 requests are forwarded.
-        forwarded = federation.request("GET", "tenant2.sim", "/v3/apps/ghost", token=carol)
+        headers = {"Host": "tenant2.sim", TOKEN_HEADER: carol}
+        targets = ["/v3/apps/ghost", "/v3/apps/%41", "/v3/apps/%zz", "/v3/apps/a%7Eb"]
+        for target in targets:
+            # apps runs only at the primary: tenant2 requests are forwarded. The
+            # pool sends each target as given, so the client re-encodes none.
+            forwarded = federation._connections.send(federation.ports["assoc1"], "GET", target,
+                                                     None, headers)
+            # The same request sent straight to the primary's router answers
+            # byte-identically.
+            direct = federation._connections.send(federation.ports["prime"], "GET", target,
+                                                  None, headers)
+            assert forwarded.status_code == direct.status_code, target
+            assert forwarded.json() == direct.json(), target
         hops = federation.transcript.find(action="forwarded-to-primary")
-        assert any(e["target"] == "/v3/apps/ghost" for e in hops)
-        # The same request sent straight to the primary's router answers
-        # byte-identically.
-        direct = federation.request_at_site("prime", "tenant2.sim", "GET", "/v3/apps/ghost",
-                                            token=carol)
-        assert forwarded.status_code == direct.status_code
-        assert forwarded.json() == direct.json()
+        assert [e["target"] for e in hops] == targets
+    finally:
+        federation.close()
+
+
+def test_forwarded_requests_reuse_pooled_connections(monkeypatch):
+    federation = build_federation(two_site_topology())
+    try:
+        carol = federation.login("tenant2", "carol")
+        opened = []
+
+        class CountingConnection(federation_module._Connection):
+            def __init__(self, port):
+                super().__init__(port)
+                opened.append(port)
+
+        monkeypatch.setattr(federation_module, "_Connection", CountingConnection)
+        for _ in range(20):
+            response = federation.request("GET", "tenant2.sim", "/v3/apps/ghost", token=carol)
+            assert response.status_code == 404
+        assert len(federation.transcript.find(action="forwarded-to-primary")) == 20
+        assert len(opened) <= 2
     finally:
         federation.close()
 

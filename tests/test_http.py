@@ -9,10 +9,13 @@ new connection is still served.
 
 import json
 import socket
+import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
 
+from fedsec.service import _SiteHTTPHandler
 from fedsec.sim.federation import build_federation
 from fedsec.sim.presets import two_site_topology
 from fedsec.wire import MAX_BODY, MAX_HEADERS, MAX_LINE, encode_request
@@ -137,6 +140,50 @@ def test_a_leading_double_slash_is_never_read_as_a_network_location(site):
 def test_a_header_value_carrying_a_line_break_is_never_sent():
     with pytest.raises(ValueError):
         encode_request("GET", "/", {"X-Tapis-User": "bob\r\nX-Tapis-Tenant: admin"})
+
+
+@pytest.mark.parametrize("target", ["/v3/a b", "/v3/a\r\nX-Tapis-User: bob", "/v3/a\n"])
+def test_a_request_target_carrying_a_space_or_line_break_is_never_sent(target):
+    with pytest.raises(ValueError):
+        encode_request("GET", target, {"Host": "tenant1.sim"})
+
+
+def test_a_closed_site_answers_nothing_on_a_connection_it_accepted_before():
+    federation = build_federation(two_site_topology())
+    try:
+        client = _Client(federation.ports["prime"])
+        try:
+            client.sock.sendall(HEALTH + b"\r\n")
+            assert client.response()[0] == 200
+            federation.handles["prime"].close()
+            client.sock.sendall(HEALTH + b"\r\n")
+            assert client.at_eof()
+        finally:
+            client.close()
+    finally:
+        federation.close()
+
+
+def test_a_silent_connection_is_closed_quietly_after_the_idle_timeout(site, monkeypatch, capfd):
+    port, handled = site
+    monkeypatch.setattr(_SiteHTTPHandler, "timeout", 0.2)
+    before = set(threading.enumerate())
+    clients = [_Client(port) for _ in range(5)]
+    try:
+        for client in clients:
+            client.sock.sendall(LOGIN + b"Content-Length: 10\r\n\r\n{}")
+        # The clients stay open: only the timeout can end their handler threads.
+        deadline = time.monotonic() + 3
+        while [t for t in threading.enumerate() if t not in before and t.is_alive()]:
+            assert time.monotonic() < deadline, "handler threads still held"
+            time.sleep(0.05)
+        assert all(client.at_eof() for client in clients)
+    finally:
+        for client in clients:
+            client.close()
+    assert handled == []
+    assert "Traceback" not in capfd.readouterr().err
+    _still_served(port)
 
 
 def test_eof_before_the_body_is_complete_closes_without_dispatching(site):
