@@ -11,7 +11,9 @@ Two storage backends implement one contract: an in-memory store for the
 simulator and tests, and a SQLite-backed store for durable deployments.
 The service layer on top handles cycle rejection, closure memoization,
 and per-tenant write serialization, so queries never observe a partially
-applied graph mutation.
+applied graph mutation. The first check of a role compiles its grants into
+a matcher; each later grant or revoke applies just that grant to it as a
+delta, so a policy write never reparses the role's other grants.
 """
 
 from __future__ import annotations
@@ -247,37 +249,56 @@ class SqliteRbacStore:
             return self._conn.execute("SELECT at, tenant, action, detail FROM audit_log").fetchall()
 
 
+def _extension_prefix(spec: PermissionSpec, canon: str) -> str:
+    """What a request extending the concrete grant ``canon`` starts with: a part
+    boundary (``:``), a directory boundary (``/``), or the root path grant itself."""
+    if spec.path_tail is None:
+        return canon + ":"
+    return canon if spec.path_tail == "/" else canon + "/"
+
+
 class _CompiledGrants:
-    """Pre-rendered matcher for one role's concrete grants.
+    """Immutable pre-rendered matcher for one role's grants.
 
     A concrete grant g implies a concrete canonical request r exactly when
-    r == g, r extends g at a part boundary (r startswith g + ":"), or g is
-    a path grant and r extends it at a directory boundary (g + "/"; the
-    root path grant covers every path so its prefix is g itself). Grants
-    carrying wildcards or comma sets fall back to the general matcher.
+    r == g or r starts with g's extension prefix. Grants carrying wildcards
+    or comma sets fall back to the general matcher. The first check of a role
+    compiles it from the store; each later write replaces it with ``updated``.
     """
 
     __slots__ = ("exact", "prefixes", "general")
 
-    def __init__(self, specs):
-        exact = set()
-        prefixes = []
-        general = []
-        for spec in specs:
-            canon = canonicalize(spec)
+    def __init__(self, exact, prefixes, general):
+        self.exact, self.prefixes, self.general = exact, prefixes, general
+
+    @classmethod
+    def compile(cls, grants, registry):
+        """Matcher for stored grants, each already canonical and so kept as is."""
+        exact, prefixes, general = set(), [], []
+        for canon in grants:
+            spec = parse_permission(canon, registry)
             if spec.is_concrete():
                 exact.add(canon)
-                if spec.path_tail is None:
-                    prefixes.append(canon + ":")
-                elif spec.path_tail == "/":
-                    prefixes.append(canon)
-                else:
-                    prefixes.append(canon + "/")
+                prefixes.append(_extension_prefix(spec, canon))
             else:
                 general.append(spec)
-        self.exact = frozenset(exact)
-        self.prefixes = tuple(prefixes)
-        self.general = tuple(general)
+        return cls(frozenset(exact), tuple(prefixes), tuple(general))
+
+    def updated(self, spec: PermissionSpec, canon: str, granted: bool) -> "_CompiledGrants":
+        """This matcher with one grant added or removed: a copy, or itself when the
+        role already holds (or lacks) it, as the store's grant set does."""
+        if not spec.is_concrete():
+            if (spec in self.general) == granted:
+                return self
+            general = self.general + (spec,) if granted else tuple(g for g in self.general if g != spec)
+            return _CompiledGrants(self.exact, self.prefixes, general)
+        if (canon in self.exact) == granted:
+            return self
+        prefix = _extension_prefix(spec, canon)
+        if granted:
+            return _CompiledGrants(self.exact | {canon}, self.prefixes + (prefix,), self.general)
+        return _CompiledGrants(self.exact - {canon}, tuple(p for p in self.prefixes if p != prefix),
+                               self.general)
 
     def permits(self, canonical_required: str, required: PermissionSpec) -> bool:
         if canonical_required in self.exact:
@@ -307,9 +328,6 @@ class RbacService:
 
     def _invalidate_graph(self, tenant):
         self._closures.pop(tenant, None)
-
-    def _invalidate_grants(self, tenant, role):
-        self._compiled.pop((tenant, role), None)
 
     # -- authorization helper --
 
@@ -357,7 +375,7 @@ class RbacService:
             self.store.delete_role(tenant, name)
             self.store.audit(tenant, "delete_role_cascade", name)
             self._invalidate_graph(tenant)
-            self._invalidate_grants(tenant, name)
+            self._compiled.pop((tenant, name), None)
 
     def create_tenant_defaults(self, tenant):
         """Reserved roles every tenant carries from creation."""
@@ -381,7 +399,7 @@ class RbacService:
 
     def _cached(self, cache, key, tenant, build):
         """``cache[key]``, built on a miss under the tenant lock, which each write holds
-        from its store change to its invalidation: no entry predates a finished write."""
+        from its store change to its cache update: no entry predates a finished write."""
         value = cache.get(key)
         if value is None:
             with self._lock(tenant):
@@ -454,26 +472,29 @@ class RbacService:
     # -- permissions --
 
     def grant_permission(self, role_name, tenant, permission: str, caller=None):
-        self._authorize_admin(tenant, caller)
-        spec = parse_permission(permission, self.registry)
-        with self._lock(tenant):
-            if self.store.get_role(tenant, role_name) is None:
-                raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
-            self.store.add_permission(tenant, role_name, canonicalize(spec))
-            self._invalidate_grants(tenant, role_name)
+        self._write_grant(role_name, tenant, permission, caller, granted=True)
 
     def revoke_permission(self, role_name, tenant, permission: str, caller=None):
+        self._write_grant(role_name, tenant, permission, caller, granted=False)
+
+    def _write_grant(self, role_name, tenant, permission, caller, granted):
         self._authorize_admin(tenant, caller)
         spec = parse_permission(permission, self.registry)
+        canon = canonicalize(spec)
         with self._lock(tenant):
             if self.store.get_role(tenant, role_name) is None:
                 raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
-            self.store.remove_permission(tenant, role_name, canonicalize(spec))
-            self._invalidate_grants(tenant, role_name)
+            if granted:
+                self.store.add_permission(tenant, role_name, canon)
+            else:
+                self.store.remove_permission(tenant, role_name, canon)
+            compiled = self._compiled.get((tenant, role_name))
+            if compiled is not None:
+                self._compiled[(tenant, role_name)] = compiled.updated(spec, canon, granted)
 
     def _compiled_for(self, tenant, role) -> _CompiledGrants:
-        return self._cached(self._compiled, (tenant, role), tenant, lambda: _CompiledGrants(
-            [parse_permission(p, self.registry) for p in self.store.permissions_of(tenant, role)]))
+        return self._cached(self._compiled, (tenant, role), tenant, lambda: _CompiledGrants.compile(
+            self.store.permissions_of(tenant, role), self.registry))
 
     def is_permitted(self, user: UserIdentity, required_permission: str) -> bool:
         return self.subject_is_permitted(user.tenant, user.username, required_permission)

@@ -30,7 +30,7 @@ from .router import RouteKind, forward, route
 from .secrets import SecretCategory, SecretPath, SecretValue
 from .sharing import ShareGrant
 from .wire import (BadRequestBody, FramingError, Request, Response, b64, content_length,
-                   encode_response, fail, ok, read_headers, read_line)
+                   encode_response, fail, ok, read_headers, read_line, unsafe_target)
 
 
 def rejection_response(verdict) -> Response:
@@ -398,6 +398,8 @@ class SiteRuntime:
         if decision.kind is RouteKind.REJECT:
             return fail(404, "ROUTE_REJECTED", decision.reason or "rejected")
         if decision.kind is RouteKind.FORWARD_TO_PRIMARY:
+            if unsafe_target(target):
+                return fail(400, "BAD_REQUEST", "a request target contains a space, CR or LF")
             if self.forward_transport is None:
                 return fail(502, "PRIMARY_UNREACHABLE", "no route to the primary site")
             try:

@@ -94,9 +94,14 @@ def _message(start_line: str, headers: dict, body: bytes) -> bytes:
     return f"{start_line}\r\n{head}\r\n".encode("iso-8859-1") + body
 
 
+def unsafe_target(target: str) -> bool:
+    """True when ``target`` cannot go on a request line: it holds a space, CR or LF."""
+    return any(char in target for char in " \r\n")
+
+
 def encode_request(method: str, target: str, headers: dict, body=None) -> bytes:
     """A whole HTTP/1.1 request; a body adds its ``Content-Length``."""
-    if any(char in target for char in " \r\n"):
+    if unsafe_target(target):
         raise ValueError("a request target contains a space, CR or LF")
     if body is not None:
         headers = {**headers, "Content-Length": len(body)}

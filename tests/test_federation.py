@@ -347,6 +347,22 @@ def test_primary_unreachable_surfaces_as_502():
         federation.close()
 
 
+def test_an_unsafe_target_on_a_forwarded_route_answers_400():
+    federation = build_federation(two_site_topology())
+    try:
+        carol = federation.login("tenant2", "carol")
+        headers = {"Host": "tenant2.sim", TOKEN_HEADER: carol}
+        for target in ("/v3/apps/a b", "/v3/apps/a\rb", "/v3/apps/a\nb"):
+            # In process, no listener stands between the caller and the forward hop.
+            response = federation.runtimes["assoc1"].handle("GET", "tenant2.sim", target,
+                                                            headers, b"")
+            assert response.status == 400, target
+            assert response.body["result"]["code"] == "BAD_REQUEST", target
+        assert federation.transcript.find(action="forwarded-to-primary") == []
+    finally:
+        federation.close()
+
+
 def test_service_token_cache_refreshes_near_expiry():
     # A 30s ttl sits inside the refresh margin, so every outbound call
     # rotates through the refresh endpoint; both calls must still succeed.

@@ -2,14 +2,16 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedsec.rbac as rbac_module
 from fedsec.errors import CycleDetected, MalformedPermission, NotAuthorized, RoleExists, UnknownRole
 from fedsec.identity import Caller, UserIdentity
-from fedsec.permissions import implies, parse_permission
+from fedsec.permissions import DEFAULT_REGISTRY, implies, parse_permission
 from fedsec.rbac import (
     TENANT_ADMIN_ROLE,
     MemoryRbacStore,
@@ -346,6 +348,139 @@ def test_is_permitted_matches_naive_scan(grants, required):
     req_spec = parse_permission(required)
     naive = any(implies(parse_permission(g), req_spec) for g in grants)
     assert svc.is_permitted(u, required) == naive
+
+
+# Wildcard, comma-set, path-less, root-path and path grants, some spelled
+# twice (one canonical form each), so regrants and revokes of absent grants
+# come up often.
+written_grants = st.sampled_from([
+    "systems:t1:*:s1",
+    "systems:t1:read,modify:s2",
+    "systems:t1:modify,read:s2",
+    "systems:t1:read",
+    "systems:t1:read:s1",
+    "files:t1:read:s1",
+    "files:t1:read:s1:/",
+    "files:t1:read:s1:/a",
+    "files:t1:read:s1://a/",
+    "files:t1:*:s2:/a/b",
+])
+
+checked_permissions = [
+    "systems:t1:read:s1", "systems:t1:modify:s2", "systems:t1:exec:s1",
+    "systems:t1:read:s2", "files:t1:read:s1", "files:t1:read:s1:/", "files:t1:read:s1:/a",
+    "files:t1:read:s1:/a/b", "files:t1:read:s1:/ab", "files:t1:modify:s2:/a/b/c",
+    "files:t1:modify:s2:/a",
+]
+
+
+@given(st.sampled_from([MemoryRbacStore, SqliteRbacStore]),
+       st.lists(st.tuples(st.booleans(), written_grants), max_size=14))
+@settings(max_examples=150, deadline=None)
+def test_writes_to_a_compiled_role_match_a_naive_scan(store_type, writes):
+    svc = RbacService(store_type())
+    svc.create_role("t1", "r", "admin")
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    for step, (granted, permission) in enumerate([(None, None)] + writes):
+        if granted is not None:
+            write = svc.grant_permission if granted else svc.revoke_permission
+            write("r", "t1", permission)
+        stored = svc.list_permissions("t1", "r")
+        for required in checked_permissions:
+            req_spec = parse_permission(required)
+            naive = any(implies(parse_permission(g), req_spec) for g in stored)
+            assert svc.is_permitted(user, required) == naive, (step, required)
+        # The matcher the writes kept up to date holds each stored grant once,
+        # exactly as a fresh compile of the store does.
+        kept = svc._compiled[("t1", "r")]
+        fresh = rbac_module._CompiledGrants.compile(stored, DEFAULT_REGISTRY)
+        assert kept.exact == fresh.exact
+        assert Counter(kept.prefixes) == Counter(fresh.prefixes)
+        assert Counter(kept.general) == Counter(fresh.general)
+
+
+def test_a_write_to_a_compiled_role_parses_only_the_written_grant(monkeypatch):
+    svc = RbacService(MemoryRbacStore())
+    svc.create_role("t1", "r", "admin")
+    for i in range(2000):
+        svc.grant_permission("r", "t1", f"files:t1:read:s1:/p{i}")
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    assert svc.is_permitted(user, "files:t1:read:s1:/p0/x")  # compiles the role's matcher
+    parsed = []
+
+    def counting_parse(raw, registry=DEFAULT_REGISTRY):
+        parsed.append(raw)
+        return parse_permission(raw, registry)
+
+    monkeypatch.setattr(rbac_module, "parse_permission", counting_parse)
+    svc.grant_permission("r", "t1", "files:t1:read:s1:/new")
+    assert svc.is_permitted(user, "files:t1:read:s1:/new/x")
+    assert len(parsed) <= 2
+
+
+def test_readers_of_a_compiled_role_see_only_a_prefix_of_its_writes():
+    svc = RbacService(MemoryRbacStore())
+    svc.create_role("t1", "r", "admin")
+    for i in range(500):
+        svc.grant_permission("r", "t1", f"files:t1:read:s1:/bulk/{i}")
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    probes = ["files:t1:read:s1:/w/a/x", "files:t1:modify:s1:/w/a/b/c", "files:t1:read:s1:/w",
+              "systems:t1:modify:s1", "systems:t1:exec:s9"]
+    pool = ["files:t1:read:s1:/w/a", "files:t1:read:s1://w/a/", "files:t1:read:s1:/w",
+            "files:t1:*:s1:/w/a/b", "systems:t1:read,modify:s1", "systems:t1:exec"]
+    rng = random.Random(5)
+    writes = [(rng.random() < 0.5, rng.choice(pool)) for _ in range(300)]
+    # expected[k][probe]: the answer after the first k writes (the bulk grants imply no probe).
+    held, expected = set(), []
+    for k in range(len(writes) + 1):
+        if k:
+            granted, permission = writes[k - 1]
+            canon = rbac_module.canonicalize(parse_permission(permission))
+            held.add(canon) if granted else held.discard(canon)
+        expected.append({p: any(implies(parse_permission(g), parse_permission(p)) for g in held)
+                         for p in probes})
+    assert svc.is_permitted(user, "files:t1:read:s1:/bulk/0/x")  # compiles the role's matcher
+
+    started, done = [0], [0]
+    stop, errors, unexplained = threading.Event(), [], []
+
+    def check_continuously():
+        try:
+            while not stop.is_set():
+                for probe in probes:
+                    low = done[0]
+                    answer = svc.is_permitted(user, probe)
+                    high = started[0]
+                    if all(expected[k][probe] != answer for k in range(low, high + 1)):
+                        unexplained.append((probe, answer, low, high))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    readers = [threading.Thread(target=check_continuously) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    stale = []
+    try:
+        for reader in readers:
+            reader.start()
+        for k, (granted, permission) in enumerate(writes, start=1):
+            started[0] = k
+            write = svc.grant_permission if granted else svc.revoke_permission
+            write("r", "t1", permission)
+            done[0] = k
+            stale += [(k, p) for p in probes if svc.is_permitted(user, p) != expected[k][p]]
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for reader in readers:
+            reader.join(timeout=10)
+    assert not any(reader.is_alive() for reader in readers)
+    assert errors == []
+    assert stale == []
+    assert unexplained == []
 
 
 @pytest.mark.parametrize("seed", [3, 17])
