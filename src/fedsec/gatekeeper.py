@@ -54,16 +54,6 @@ class InboundRequest:
     obo_user: str | None = None
     obo_tenant: str | None = None
 
-    @classmethod
-    def from_headers(cls, headers, target_service, receiving_site) -> "InboundRequest":
-        return cls(
-            token=headers.get(TOKEN_HEADER, ""),
-            target_service=target_service,
-            receiving_site=receiving_site,
-            obo_user=headers.get(OBO_USER_HEADER),
-            obo_tenant=headers.get(OBO_TENANT_HEADER),
-        )
-
 
 @dataclass(frozen=True)
 class ValidationVerdict:

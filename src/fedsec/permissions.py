@@ -187,11 +187,15 @@ def implies(granted: PermissionSpec, required: PermissionSpec) -> bool:
     """Decide whether ``granted`` covers the concrete request ``required``.
 
     Both specs must come from the same registry; a granted and required
-    pair whose path tails sit at different part positions indicates mixed
-    registries and raises SchemaMismatch.
+    pair of one schema whose path tails sit at different part positions
+    indicates mixed registries and raises SchemaMismatch.
     """
     _require_concrete(required)
 
+    # A grant for another schema never covers the request, whatever its shape.
+    first = granted.parts[0]
+    if not (first is WILDCARD or first == WILDCARD) and not required.parts[0] <= first:
+        return False
     if granted.path_tail is not None and required.path_tail is not None:
         if len(granted.parts) != len(required.parts):
             raise SchemaMismatch("path tails at different part positions; specs parsed under different registries")

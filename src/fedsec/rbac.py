@@ -7,18 +7,17 @@ edges. Roles also carry permission strings; ``is_permitted`` asks whether
 any permission attached to any role in the user's effective closure
 implies a concrete request.
 
-Two storage backends implement one contract: an in-memory store for the
-simulator and tests, and a SQLite-backed store for durable deployments.
-The service layer on top handles cycle rejection, closure memoization,
-and per-tenant write serialization, so queries never observe a partially
-applied graph mutation. The first check of a role compiles its grants into
-a matcher; each later grant or revoke applies just that grant to it as a
-delta, so a policy write never reparses the role's other grants.
+Each site keeps its policy in an in-memory store that the federation
+bootstraps from config on every start. The service layer on top handles
+cycle rejection, closure memoization, and per-tenant write serialization,
+so queries never observe a partially applied graph mutation. The first
+check of a role compiles its grants into a matcher; each later grant or
+revoke applies just that grant to it as a delta, so a policy write never
+reparses the role's other grants.
 """
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
@@ -68,7 +67,7 @@ def _reach(edges, start) -> frozenset:
 
 
 class MemoryRbacStore:
-    """Dict-backed store; tables mirror the relational layout."""
+    """Dict-backed store of one site's roles, edges, assignments and grants."""
 
     def __init__(self):
         self._roles = {}         # (tenant, name) -> (owner, description)
@@ -122,131 +121,6 @@ class MemoryRbacStore:
 
     def audit(self, tenant, action, detail):
         self.audit_log.append((time.time(), tenant, action, detail))
-
-
-class SqliteRbacStore:
-    """SQLite-backed store with the same contract as MemoryRbacStore."""
-
-    def __init__(self, path=":memory:"):
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._lock = threading.RLock()
-        with self._lock:
-            self._conn.executescript(
-                """
-                CREATE TABLE IF NOT EXISTS roles (
-                    tenant TEXT NOT NULL, name TEXT NOT NULL,
-                    owner TEXT NOT NULL, description TEXT NOT NULL DEFAULT '',
-                    PRIMARY KEY (tenant, name));
-                CREATE TABLE IF NOT EXISTS role_edges (
-                    tenant TEXT NOT NULL, parent TEXT NOT NULL, child TEXT NOT NULL,
-                    PRIMARY KEY (tenant, parent, child));
-                CREATE TABLE IF NOT EXISTS assignments (
-                    tenant TEXT NOT NULL, subject TEXT NOT NULL,
-                    role TEXT NOT NULL, grantor TEXT NOT NULL,
-                    PRIMARY KEY (tenant, subject, role));
-                CREATE TABLE IF NOT EXISTS role_permissions (
-                    tenant TEXT NOT NULL, role TEXT NOT NULL, permission TEXT NOT NULL,
-                    PRIMARY KEY (tenant, role, permission));
-                CREATE TABLE IF NOT EXISTS audit_log (
-                    seq INTEGER PRIMARY KEY AUTOINCREMENT,
-                    at REAL, tenant TEXT, action TEXT, detail TEXT);
-                """
-            )
-            self._conn.commit()
-
-    def get_role(self, tenant, name):
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT owner, description FROM roles WHERE tenant=? AND name=?", (tenant, name)
-            ).fetchone()
-        return row
-
-    def put_role(self, tenant, name, owner, description):
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO roles VALUES (?,?,?,?)", (tenant, name, owner, description)
-            )
-            self._conn.commit()
-
-    def delete_role(self, tenant, name):
-        with self._lock:
-            self._conn.execute("DELETE FROM roles WHERE tenant=? AND name=?", (tenant, name))
-            self._conn.execute(
-                "DELETE FROM role_edges WHERE tenant=? AND (parent=? OR child=?)", (tenant, name, name)
-            )
-            self._conn.execute("DELETE FROM assignments WHERE tenant=? AND role=?", (tenant, name))
-            self._conn.execute("DELETE FROM role_permissions WHERE tenant=? AND role=?", (tenant, name))
-            self._conn.commit()
-
-    def role_names(self, tenant):
-        with self._lock:
-            rows = self._conn.execute("SELECT name FROM roles WHERE tenant=?", (tenant,)).fetchall()
-        return [r[0] for r in rows]
-
-    def add_edge(self, tenant, parent, child):
-        with self._lock:
-            self._conn.execute("INSERT OR IGNORE INTO role_edges VALUES (?,?,?)", (tenant, parent, child))
-            self._conn.commit()
-
-    def edges(self, tenant):
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT parent, child FROM role_edges WHERE tenant=?", (tenant,)
-            ).fetchall()
-        out = {}
-        for parent, child in rows:
-            out.setdefault(parent, set()).add(child)
-        return out
-
-    def add_assignment(self, tenant, subject, role, grantor):
-        with self._lock:
-            self._conn.execute("INSERT OR REPLACE INTO assignments VALUES (?,?,?,?)",
-                               (tenant, subject, role, grantor))
-            self._conn.commit()
-
-    def remove_assignment(self, tenant, subject, role):
-        with self._lock:
-            self._conn.execute("DELETE FROM assignments WHERE tenant=? AND subject=? AND role=?",
-                               (tenant, subject, role))
-            self._conn.commit()
-
-    def assignments_of(self, tenant, subject):
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT role FROM assignments WHERE tenant=? AND subject=?", (tenant, subject)
-            ).fetchall()
-        return {r[0] for r in rows}
-
-    def add_permission(self, tenant, role, permission):
-        with self._lock:
-            self._conn.execute("INSERT OR IGNORE INTO role_permissions VALUES (?,?,?)",
-                               (tenant, role, permission))
-            self._conn.commit()
-
-    def remove_permission(self, tenant, role, permission):
-        with self._lock:
-            self._conn.execute(
-                "DELETE FROM role_permissions WHERE tenant=? AND role=? AND permission=?",
-                (tenant, role, permission))
-            self._conn.commit()
-
-    def permissions_of(self, tenant, role):
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT permission FROM role_permissions WHERE tenant=? AND role=?", (tenant, role)
-            ).fetchall()
-        return [r[0] for r in rows]
-
-    def audit(self, tenant, action, detail):
-        with self._lock:
-            self._conn.execute("INSERT INTO audit_log (at, tenant, action, detail) VALUES (?,?,?,?)",
-                               (time.time(), tenant, action, detail))
-            self._conn.commit()
-
-    @property
-    def audit_log(self):
-        with self._lock:
-            return self._conn.execute("SELECT at, tenant, action, detail FROM audit_log").fetchall()
 
 
 def _extension_prefix(spec: PermissionSpec, canon: str) -> str:
@@ -508,8 +382,3 @@ class RbacService:
             if self._compiled_for(tenant, role).permits(canonical, required):
                 return True
         return False
-
-    def list_permissions(self, tenant, role_name):
-        if self.store.get_role(tenant, role_name) is None:
-            raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
-        return self.store.permissions_of(tenant, role_name)

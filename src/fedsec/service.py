@@ -23,7 +23,8 @@ import threading
 import time
 
 from .errors import NotAuthorized, SecurityError, StartupError
-from .gatekeeper import InboundRequest, validate_request
+from .gatekeeper import (OBO_TENANT_HEADER, OBO_USER_HEADER, TOKEN_HEADER, InboundRequest,
+                         validate_request)
 from .identity import OPERATOR, Caller, UserIdentity
 from .rbac import TENANT_ADMIN_ROLE
 from .router import RouteKind, forward, route
@@ -369,11 +370,11 @@ class SiteRuntime:
 
     def validate(self, req: Request, service_name: str):
         inbound = InboundRequest(
-            token=req.header("x-tapis-token", ""),
+            token=req.header(TOKEN_HEADER, ""),
             target_service=service_name,
             receiving_site=self.site_id,
-            obo_user=req.header("x-tapis-user"),
-            obo_tenant=req.header("x-tapis-tenant"),
+            obo_user=req.header(OBO_USER_HEADER),
+            obo_tenant=req.header(OBO_TENANT_HEADER),
         )
         return validate_request(inbound, self.registry, clock=self.clock)
 

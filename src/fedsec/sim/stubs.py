@@ -18,6 +18,7 @@ import base64
 import functools
 
 from ..errors import NotFound, ResourceNotInSac, SacOnUserRequest, SecurityError
+from ..gatekeeper import TOKEN_HEADER
 from ..identity import Caller
 from ..secrets import SecretCategory, SecretPath, SecretValue
 from ..service import ServiceApp, rejection_response
@@ -322,7 +323,7 @@ class FilesApp(_StubApp):
 
     def content(self, req, verdict, system, file_path):
         """Flagged route: serves no-authn shares when no token is presented."""
-        token = req.header("x-tapis-token")
+        token = req.header(TOKEN_HEADER)
         path = "/" + file_path.lstrip("/")
         if token:
             verdict = self.rt.validate(req, self.name)

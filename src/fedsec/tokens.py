@@ -15,13 +15,11 @@ from __future__ import annotations
 import base64
 import heapq
 import json
-import os
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
@@ -274,74 +272,14 @@ class MemoryTombstones:
             if jti in self._used:
                 return False
             self._prune()
-            self._add(jti, exp)
-            self._persist(jti, exp)
+            self._used[jti] = exp
+            heapq.heappush(self._by_exp, (exp, jti))
             return True
-
-    def _add(self, jti, exp):
-        self._used[jti] = exp
-        heapq.heappush(self._by_exp, (exp, jti))
 
     def _prune(self):
         now = self._clock()
         while self._by_exp and self._by_exp[0][0] <= now:
             del self._used[heapq.heappop(self._by_exp)[1]]
-
-    def _persist(self, jti, exp):
-        """Make a new entry durable before ``consume`` returns; memory keeps none."""
-
-
-def _tombstone_line(jti, exp) -> str:
-    return json.dumps([jti, exp]) + "\n"
-
-
-class FileTombstones(MemoryTombstones):
-    """Tombstones persisted one ``[jti, exp]`` JSON line each, for durable
-    deployments. The file is compacted to the live entries when it loads
-    and whenever it holds more than twice as many lines as live entries."""
-
-    COMPACT_SLACK = 64  # lines the file may hold beyond twice the live entries
-
-    def __init__(self, path, clock=time.time):
-        super().__init__(clock)
-        self.path = Path(path)
-        self._lines = 0
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                jti, exp = json.loads(line)
-                if jti not in self._used:
-                    self._add(jti, exp)
-                self._lines += 1
-            self._prune()
-            self._compact()
-
-    def _persist(self, jti, exp):
-        with self.path.open("a") as fh:
-            fh.write(_tombstone_line(jti, exp))
-            # On disk before the caller honors the token, so a crash cannot replay it.
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._lines += 1
-        if self._lines > 2 * len(self._used) + self.COMPACT_SLACK:
-            self._compact()
-
-    def _compact(self):
-        """Rewrite the file to the live entries; a crash leaves the old or
-        the new file, never a partial one."""
-        if self._lines == len(self._used):
-            return
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w") as fh:
-            fh.writelines(_tombstone_line(jti, exp) for jti, exp in self._used.items())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        directory = os.open(self.path.parent, os.O_RDONLY)
-        try:
-            os.fsync(directory)  # the rename itself survives a crash
-        finally:
-            os.close(directory)
-        self._lines = len(self._used)
 
 
 class TokenForge:
@@ -353,8 +291,7 @@ class TokenForge:
 
     def __init__(self, site_id, admin_tenant, private_key_provider, rbac, registry,
                  secrets=None, clock=time.time,
-                 default_ttl=DEFAULT_ACCESS_TTL, refresh_ttl=DEFAULT_REFRESH_TTL,
-                 tombstones=None):
+                 default_ttl=DEFAULT_ACCESS_TTL, refresh_ttl=DEFAULT_REFRESH_TTL):
         self.site_id = site_id
         self.admin_tenant = admin_tenant
         self._private_key = private_key_provider
@@ -364,7 +301,7 @@ class TokenForge:
         self._clock = clock
         self.default_ttl = default_ttl
         self.refresh_ttl = refresh_ttl
-        self.tombstones = tombstones if tombstones is not None else MemoryTombstones(clock)
+        self.tombstones = MemoryTombstones(clock)
 
     def _issuer_url(self, tenant_id: str) -> str:
         try:

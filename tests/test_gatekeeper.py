@@ -1,9 +1,6 @@
 import pytest
 
 from fedsec.gatekeeper import (
-    OBO_TENANT_HEADER,
-    OBO_USER_HEADER,
-    TOKEN_HEADER,
     InboundRequest,
     ValidationVerdict,
     derive_sender_site,
@@ -222,12 +219,3 @@ def test_verdict_diagnostics_never_carry_token_bytes(world):
     token = make_token(keys, "user", "tenant1", sign_as="tenant2")
     verdict = check(registry, token, "security-kernel", "prime")
     assert token.split(".")[1] not in verdict.message
-
-
-def test_inbound_request_from_headers(world):
-    registry, keys = world
-    token = make_token(keys, "user", "tenant1")
-    headers = {TOKEN_HEADER: token, OBO_USER_HEADER: "x", OBO_TENANT_HEADER: "y"}
-    req = InboundRequest.from_headers(headers, "apps", "prime")
-    assert req.token == token
-    assert (req.obo_user, req.obo_tenant) == ("x", "y")

@@ -254,3 +254,27 @@ def test_path_boundary_matches_segment_prefix_oracle(gsegs, rsegs):
 def test_canonical_round_trip(gparts):
     spec = _spec(gparts)
     assert parse_permission(canonicalize(spec)) == spec
+
+
+@st.composite
+def permission_strings(draw, concrete):
+    """files/systems/apps permissions of 1-5 parts under DEFAULT_REGISTRY; a
+    fifth part is a path for files and a plain part for the other schemas."""
+    schemas = ["files", "systems", "apps"] if concrete else ["files", "systems", "apps", "*"]
+    parts = ["t1", "read", "s1", "x"] if concrete else ["t1", "read", "read,modify", "s2", "x", "*"]
+    schema = draw(st.sampled_from(schemas))
+    length = draw(st.sampled_from([1, 2, 3, 4, 5, 5, 5]))  # most draws reach the path part
+    middle = [draw(st.sampled_from(parts)) for _ in range(min(length - 1, 3))]
+    tail = []
+    if length == 5:
+        tail = [draw(st.sampled_from(["/", "/a", "/a/b"] if schema == "files" else parts + ["/a/b"]))]
+    return ":".join([schema, *middle, *tail])
+
+
+@given(permission_strings(concrete=False), permission_strings(concrete=True))
+@settings(max_examples=400)
+def test_implies_never_raises_and_other_schemas_never_imply(granted, required):
+    g, r = parse_permission(granted), parse_permission(required)
+    got = implies(g, r)
+    if g.parts[0] != WILDCARD and g.parts[0] != r.parts[0]:
+        assert got is False

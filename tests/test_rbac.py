@@ -16,17 +16,16 @@ from fedsec.rbac import (
     TENANT_ADMIN_ROLE,
     MemoryRbacStore,
     RbacService,
-    SqliteRbacStore,
     default_role_name,
 )
 
 from .oracles import oracle_has_cycle, oracle_reachable
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+# One param, so each test keeps its "[memory]" id.
+@pytest.fixture(params=["memory"])
 def svc(request):
-    store = MemoryRbacStore() if request.param == "memory" else SqliteRbacStore()
-    return RbacService(store)
+    return RbacService(MemoryRbacStore())
 
 
 def test_create_role_happy_path(svc):
@@ -153,7 +152,7 @@ def test_has_role_unknown(svc):
 def test_grant_permission_stored_canonically(svc):
     svc.create_role("a2cps", "r", "admin")
     svc.grant_permission("r", "a2cps", "systems:a2cps:read,modify:corral")
-    assert svc.list_permissions("a2cps", "r") == ["systems:a2cps:modify,read:corral"]
+    assert svc.store.permissions_of("a2cps", "r") == ["systems:a2cps:modify,read:corral"]
 
 
 def test_grant_malformed_permission(svc):
@@ -165,7 +164,15 @@ def test_grant_malformed_permission(svc):
 def test_revoke_unattached_permission_is_noop(svc):
     svc.create_role("t1", "r", "admin")
     svc.revoke_permission("r", "t1", "systems:t1:read:s")
-    assert svc.list_permissions("t1", "r") == []
+    assert svc.store.permissions_of("t1", "r") == []
+
+
+def test_a_grant_for_another_schema_answers_false(svc):
+    svc.create_role("t1", "r", "admin")
+    svc.grant_permission("r", "t1", "files:t1:*:s2:/a/b")
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    assert svc.is_permitted(user, "systems:t1:read:s1:x") is False
 
 
 def test_memory_store_grants_keep_order_and_cost_linear_comparisons():
@@ -374,11 +381,10 @@ checked_permissions = [
 ]
 
 
-@given(st.sampled_from([MemoryRbacStore, SqliteRbacStore]),
-       st.lists(st.tuples(st.booleans(), written_grants), max_size=14))
+@given(st.lists(st.tuples(st.booleans(), written_grants), max_size=14))
 @settings(max_examples=150, deadline=None)
-def test_writes_to_a_compiled_role_match_a_naive_scan(store_type, writes):
-    svc = RbacService(store_type())
+def test_writes_to_a_compiled_role_match_a_naive_scan(writes):
+    svc = RbacService()
     svc.create_role("t1", "r", "admin")
     user = UserIdentity("u", "t1")
     svc.grant_role(user, "r", "admin")
@@ -386,7 +392,7 @@ def test_writes_to_a_compiled_role_match_a_naive_scan(store_type, writes):
         if granted is not None:
             write = svc.grant_permission if granted else svc.revoke_permission
             write("r", "t1", permission)
-        stored = svc.list_permissions("t1", "r")
+        stored = svc.store.permissions_of("t1", "r")
         for required in checked_permissions:
             req_spec = parse_permission(required)
             naive = any(implies(parse_permission(g), req_spec) for g in stored)

@@ -1,5 +1,3 @@
-import json
-import os
 import sys
 import threading
 
@@ -26,10 +24,10 @@ from fedsec.registry import Registry, RegistrySnapshot
 from fedsec.secrets import SecretCategory, SecretPath, SecretsService, SecretValue
 from fedsec.tokens import (
     VERIFIED_LIMIT,
-    FileTombstones,
     MemoryTombstones,
     TokenClaims,
     TokenForge,
+    TokenPair,
     encode_token,
     peek_claims,
     verify,
@@ -248,30 +246,6 @@ def test_fuzzed_claims_round_trip(shared_site, username, ttl):
     assert claims.exp == pytest.approx(now[0] + ttl)
 
 
-def test_file_tombstones_persist(tmp_path):
-    path = tmp_path / "tombstones.txt"
-    t1 = FileTombstones(path, clock=lambda: 100.0)
-    assert t1.consume("jti-1", 200.0) is True
-    assert t1.consume("jti-1", 200.0) is False
-    t2 = FileTombstones(path, clock=lambda: 100.0)
-    assert t2.consume("jti-1", 200.0) is False
-    assert t2.consume("jti-2", 200.0) is True
-
-
-def test_file_tombstone_is_synced_before_consume_returns(tmp_path, monkeypatch):
-    path = tmp_path / "tombstones.txt"
-    synced = []
-    real_fsync = os.fsync
-
-    def spy(fd):
-        real_fsync(fd)
-        synced.append(path.read_text())  # what a crash right after fsync would keep
-
-    monkeypatch.setattr(os, "fsync", spy)
-    assert FileTombstones(path, clock=lambda: 100.0).consume("jti-1", 200.0) is True
-    assert synced == ['["jti-1", 200.0]\n']
-
-
 # -- tombstones are bounded by the refresh tokens' expiry --
 
 def test_replayed_refresh_token_is_reused_until_it_expires(site):
@@ -311,30 +285,36 @@ def test_memory_tombstones_keep_an_entry_until_its_exp():
     assert stones.consume("d", 400.0) and len(stones) == 3  # "a" dropped
 
 
-def test_tombstone_file_compacts_on_load(tmp_path):
-    path = tmp_path / "tombstones.txt"
-    now = [100.0]
-    stones = FileTombstones(path, clock=lambda: now[0])
-    for jti, exp in (("a", 150.0), ("b", 250.0), ("c", 350.0)):
-        assert stones.consume(jti, exp)
-    now[0] = 260.0
-    reloaded = FileTombstones(path, clock=lambda: now[0])
-    assert [json.loads(line) for line in path.read_text().splitlines()] == [["c", 350.0]]
-    assert len(reloaded) == 1
-    assert not reloaded.consume("c", 350.0)
-    assert reloaded.consume("a", 450.0)  # expired and dropped: rule 1 now stops a replay
+def test_racing_refreshes_of_one_token_yield_exactly_one_pair(site):
+    forge, _, _, _ = site
+    rounds = 200
+    tokens_ = [forge.issue_service_tokens("jobs", b"jobs-pw", "prime", ["prime"])["prime"].refresh
+               for _ in range(rounds)]
+    barrier = threading.Barrier(2, timeout=30)
+    outcomes = [[None] * rounds for _ in range(2)]
+    errors = []
 
+    def worker(slot):
+        try:
+            for i, token in enumerate(tokens_):
+                barrier.wait()  # both threads refresh the same token at once
+                try:
+                    outcomes[slot][i] = forge.refresh(token)
+                except ReusedToken as exc:
+                    outcomes[slot][i] = exc
+        except BaseException as exc:
+            errors.append(exc)
+            barrier.abort()
 
-def test_tombstone_file_stays_compact_while_running(tmp_path):
-    path = tmp_path / "tombstones.txt"
-    now = [0.0]
-    stones = FileTombstones(path, clock=lambda: now[0])
-    for i in range(500):
-        assert stones.consume(f"jti-{i}", now[0] + 1)
-        now[0] += 2  # each entry expires before the next consume
-        lines = len(path.read_text().splitlines())
-        assert lines <= 2 * len(stones) + FileTombstones.COMPACT_SLACK + 1
-    assert len(stones) == 1
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    for i, pair in enumerate(zip(*outcomes)):
+        assert sum(isinstance(o, TokenPair) for o in pair) == 1, (i, pair)
+        assert sum(isinstance(o, ReusedToken) for o in pair) == 1, (i, pair)
 
 
 # -- the verified-token cache --
