@@ -24,7 +24,12 @@ Matching rules, all case-sensitive:
 * a granted permission with fewer parts than the request implies it
   (omitted trailing parts match anything);
 * a granted permission with *more* parts than the request implies it only
-  if every extra part is ``*``;
+  if every extra part is ``*``, with one exception: a path-less grant (one
+  whose schema part is ``*``) with exactly one extra part, sitting where
+  the request's path tail begins, covers that tail when one of the part's
+  literals starts with ``/`` and, with empty segments dropped, is a
+  directory prefix of it, so ``*:t1:read:s1:/a`` implies
+  ``files:t1:read:s1:/a/b`` but not ``files:t1:read:s1:/ab``;
 * path tails compare as directory prefixes, never as string prefixes.
 
 ``**`` and regex-style parts are rejected as malformed. All functions here
@@ -213,10 +218,14 @@ def implies(granted: PermissionSpec, required: PermissionSpec) -> bool:
         if literal not in g:
             return False
 
-    # Granted has extra parts beyond the request: they must all be wildcards.
-    # (A path-less grant may have a part at the request's path position;
-    # only * matches a path component there.)
+    # Granted has extra parts beyond the request: they must all be wildcards,
+    # unless a path-less grant names a path where the request's tail begins.
     extra = granted.parts[len(required.parts):]
+    if (len(extra) == 1 and granted.path_tail is None and required.path_tail is not None
+            and not (extra[0] is WILDCARD or extra[0] == WILDCARD)):
+        return any(literal.startswith("/") and path_implied(
+            "/" + "/".join(s for s in literal.split("/") if s), required.path_tail)
+            for literal in extra[0])
     if not all(p is WILDCARD or p == WILDCARD for p in extra):
         return False
 

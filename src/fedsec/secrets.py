@@ -11,13 +11,17 @@ Categories and their access policy (the full matrix is in ``_POLICY``):
   security kernel, readable by the kernel and the Tokens start-up path.
 * user secrets: free-form data readable and writable by the owner only.
 
-Payloads are encrypted at rest with a site master key (authenticated
-symmetric encryption); backends only ever see ciphertext. Each record
-names the storage key it was written under, so a blob copied to another
-key is refused. Every write creates a new version; old versions stay
-readable when pinned. Exports
-snapshot the store without blocking writers and come back as version
-records wrapped in one authenticated-encryption envelope.
+Each secret is one backend entry: its key is the rendered path and its
+value is one record, ``{"key": <path>, "versions": [{payload, created_at,
+metadata}, ...]}``, oldest first, so version n is entry n - 1 and one
+lookup says which versions exist. Records are encrypted at rest with a
+site master key (authenticated symmetric encryption); backends only ever
+see ciphertext. A record names the key it was written under, so a blob
+copied to another key is refused. Every write appends a version and
+replaces the record whole; old versions stay readable when pinned. A
+backend offers ``get``, ``put``, ``items`` and ``ping``. Exports snapshot
+the store without blocking writers and come back as one record per
+version, wrapped in one authenticated-encryption envelope.
 """
 
 from __future__ import annotations
@@ -68,6 +72,11 @@ class SecretValue:
         return f"SecretValue(payload=<redacted {len(self.payload)} bytes>, created_at={self.created_at})"
 
 
+def _value(entry: dict) -> SecretValue:
+    """One version entry of a stored record, decoded."""
+    return SecretValue(base64.b64decode(entry["payload"]), entry["created_at"], entry["metadata"])
+
+
 def generate_master_key() -> bytes:
     return Fernet.generate_key()
 
@@ -83,12 +92,6 @@ class MemoryKvBackend:
 
     def put(self, key, blob):
         self._data[key] = blob
-
-    def delete(self, key):
-        self._data.pop(key, None)
-
-    def keys(self):
-        return list(self._data)
 
     def items(self):
         return list(self._data.items())
@@ -125,12 +128,6 @@ class FileKvBackend:
         tmp = f.with_suffix(".tmp")
         tmp.write_bytes(blob)
         tmp.replace(f)
-
-    def delete(self, key):
-        self._file_for(key).unlink(missing_ok=True)
-
-    def keys(self):
-        return [self._key_of(p.name) for p in self.root.glob("*.bin")]
 
     def items(self):
         return [(self._key_of(p.name), p.read_bytes()) for p in self.root.glob("*.bin")]
@@ -208,79 +205,61 @@ class SecretsService:
                 f"{caller.kind} {caller.subject()} may not {operation} {path.category.value} secrets"
             )
 
-    def _encrypt(self, key: str, value: SecretValue) -> bytes:
-        record = {
-            "key": key,
-            "payload": base64.b64encode(value.payload).decode(),
-            "created_at": value.created_at,
-            "metadata": value.metadata,
-        }
-        return self._fernet.encrypt(json.dumps(record).encode())
+    def _encrypt(self, key: str, versions: list) -> bytes:
+        return self._fernet.encrypt(json.dumps({"key": key, "versions": versions}).encode())
 
-    def _decrypt(self, key: str, blob: bytes) -> SecretValue:
-        """The value stored under ``key``; a blob encrypted for any other
-        key (copied or moved within the backend) is refused."""
+    def _decrypt(self, key: str, blob: bytes) -> list:
+        """The version entries stored under ``key``; a blob encrypted for any
+        other key (copied or moved within the backend) is refused."""
         record = json.loads(self._fernet.decrypt(blob))
         if record.get("key") != key:
             raise SecretMisplaced(f"the blob at {key} was encrypted for another key")
-        return SecretValue(
-            payload=base64.b64decode(record["payload"]),
-            created_at=record["created_at"],
-            metadata=record["metadata"],
-        )
+        return record["versions"]
 
-    def _versions_of(self, path: SecretPath):
-        prefix = path.render() + "/v"
-        versions = []
-        for key in self.backend.keys():
-            if key.startswith(prefix):
-                try:
-                    versions.append(int(key[len(prefix):]))
-                except ValueError:
-                    continue
-        return sorted(versions)
+    def _versions(self, path: SecretPath) -> list:
+        """The version entries of the secret at ``path``, oldest first; empty
+        when there is none. Needs no lock: a write replaces the record whole."""
+        key = path.render()
+        blob = self.backend.get(key)
+        return [] if blob is None else self._decrypt(key, blob)
 
     # -- operations --
 
     def write_secret(self, path: SecretPath, value: SecretValue, caller: Caller) -> int:
         self._authorize("write", path, caller)
         with self._lock:
-            versions = self._versions_of(path)
+            versions = self._versions(path)
             if self.max_versions is not None and len(versions) >= self.max_versions:
                 raise QuotaExceeded(f"{path.render()} reached {self.max_versions} versions")
-            version = (versions[-1] + 1) if versions else 1
             if not value.created_at:
                 value = SecretValue(value.payload, self._clock(), dict(value.metadata))
-            key = f"{path.render()}/v{version}"
-            self.backend.put(key, self._encrypt(key, value))
-        return version
+            versions.append({"payload": base64.b64encode(value.payload).decode(),
+                             "created_at": value.created_at, "metadata": value.metadata})
+            key = path.render()
+            self.backend.put(key, self._encrypt(key, versions))
+        return len(versions)
 
     def read_secret(self, path: SecretPath, caller: Caller, version: int | None = None) -> SecretValue:
         self._authorize("read", path, caller)
-        with self._lock:
-            if version is None:
-                versions = self._versions_of(path)
-                if not versions:
-                    raise NotFound(f"no secret at {path.render()}")
-                version = versions[-1]
-            key = f"{path.render()}/v{version}"
-            blob = self.backend.get(key)
-        if blob is None:
+        versions = self._versions(path)
+        if version is None:
+            if not versions:
+                raise NotFound(f"no secret at {path.render()}")
+            version = len(versions)
+        if not 1 <= version <= len(versions):
             raise NotFound(f"no secret at {path.render()} version {version}")
-        return self._decrypt(key, blob)
+        return _value(versions[version - 1])
 
     def exists(self, path: SecretPath, caller: Caller) -> bool:
         self._authorize("read", path, caller)
-        with self._lock:
-            return bool(self._versions_of(path))
+        return self.backend.get(path.render()) is not None
 
     def latest_version(self, path: SecretPath, caller: Caller) -> int:
         self._authorize("read", path, caller)
-        with self._lock:
-            versions = self._versions_of(path)
+        versions = self._versions(path)
         if not versions:
             raise NotFound(f"no secret at {path.render()}")
-        return versions[-1]
+        return len(versions)
 
     def validate_service_password(self, service_name: str, site: str, candidate: bytes,
                                   caller: Caller) -> bool:
@@ -288,16 +267,12 @@ class SecretsService:
         self._authorize("validate", path, caller)
         if site != self.site_id:
             raise NotAuthorized(f"this store serves site {self.site_id!r}, not {site!r}")
-        with self._lock:
-            versions = self._versions_of(path)
-            if not versions:
-                return False
-            key = f"{path.render()}/v{versions[-1]}"
-            blob = self.backend.get(key)
-        stored = self._decrypt(key, blob).payload
+        versions = self._versions(path)
+        if not versions:
+            return False
         if isinstance(candidate, str):
             candidate = candidate.encode()
-        return hmac.compare_digest(stored, candidate)
+        return hmac.compare_digest(_value(versions[-1]).payload, candidate)
 
     def export_backup(self, scope: str, scope_id: str, caller: Caller) -> bytes:
         """Encrypted archive of all versions in a tenant or the whole site.
@@ -317,15 +292,8 @@ class SecretsService:
             tenant = key.split("/", 1)[0]
             if scope == "tenant" and tenant != scope_id:
                 continue
-            value = self._decrypt(key, blob)
-            path_part, vpart = key.rsplit("/v", 1)
-            records.append({
-                "path": path_part,
-                "version": int(vpart),
-                "payload": base64.b64encode(value.payload).decode(),
-                "created_at": value.created_at,
-                "metadata": value.metadata,
-            })
+            for version, entry in enumerate(self._decrypt(key, blob), 1):
+                records.append({"path": key, "version": version, **entry})
         records.sort(key=lambda r: (r["path"], r["version"]))
         return encrypt_backup(records, self.master_key)
 

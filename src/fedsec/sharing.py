@@ -54,6 +54,10 @@ class ShareGrant:
             raise NotFound(f"unknown resource type {self.resource_type!r}")
 
 
+def _resource_key(grant: ShareGrant):
+    return grant.tenant, grant.resource_type, grant.resource_id, grant.privilege
+
+
 @dataclass(frozen=True)
 class SacDescriptor:
     grantor: str
@@ -75,7 +79,9 @@ class SharingService:
     """Grant storage plus SAC resolution; mutations serialize per tenant."""
 
     def __init__(self):
-        self._grants = []      # ordered, so the earliest grantor wins ties
+        # (tenant, resource_type, resource_id, privilege) -> {grant: None},
+        # in insertion order, so the earliest grantor wins ties
+        self._grants = {}
         self._lock = threading.RLock()
 
     # -- grants --
@@ -85,29 +91,30 @@ class SharingService:
         if not (caller.name == grant.grantor and caller.tenant == grant.tenant):
             raise NotAuthorized("only the grantor may create a share")
         with self._lock:
-            if grant not in self._grants:
-                self._grants.append(grant)
+            self._grants.setdefault(_resource_key(grant), {})[grant] = None
 
     def revoke_share(self, grant: ShareGrant, caller: Caller, is_tenant_admin=lambda c: False):
         if caller.kind == "user" and caller.name != grant.grantor and not is_tenant_admin(caller):
             raise NotAuthorized("only the grantor or a tenant admin may revoke")
+        key = _resource_key(grant)
         with self._lock:
-            if grant not in self._grants:
+            grants = self._grants.get(key, {})
+            if grant not in grants:
                 raise NotFound("no such share grant")
-            self._grants.remove(grant)
+            del grants[grant]
+            if not grants:
+                del self._grants[key]
 
     def list_shares(self, tenant: str):
         with self._lock:
-            return [g for g in self._grants if g.tenant == tenant]
+            return [g for grants in self._grants.values() for g in grants if g.tenant == tenant]
 
     # -- queries --
 
     def _grants_on(self, tenant, resource_type, resource_id, privilege):
         """Every grant of ``privilege`` on one resource, earliest first."""
-        key = (tenant, resource_type, resource_id, privilege)
         with self._lock:
-            return [g for g in self._grants
-                    if (g.tenant, g.resource_type, g.resource_id, g.privilege) == key]
+            return list(self._grants.get((tenant, resource_type, resource_id, privilege), ()))
 
     def is_shared_with(self, tenant, resource_type, resource_id, user, privilege):
         """(shared, grantor) for a direct or tenant-public grant."""

@@ -158,6 +158,23 @@ def test_pathless_grant_implies_path_request():
     assert implies_str("files:tacc", "files:tacc:read:sys1:/home/bud")
 
 
+def test_wildcard_schema_grant_naming_a_path_covers_it_in_files():
+    grant = "*:t1:read:s1:/a"
+    assert implies_str(grant, "files:t1:read:s1:/a")
+    assert implies_str(grant, "files:t1:read:s1:/a/b")
+    assert implies_str("*:t1:read:s1://a/", "files:t1:read:s1:/a/b")
+    assert implies_str("*:t1:read:s1:/x,/a", "files:t1:read:s1:/a/b")
+    assert implies_str("*:t1:read:s1:/", "files:t1:read:s1:/b")
+    # Directory prefixes only, and only a literal that is an absolute path.
+    assert not implies_str(grant, "files:t1:read:s1:/ab")
+    assert not implies_str("*:t1:read:s1:a", "files:t1:read:s1:/a")
+    assert not implies_str(grant, "files:t1:read:s1")
+    assert not implies_str("*:t1:read:s2:/a", "files:t1:read:s1:/a")
+    # For a schema without a path, the part stays a plain literal.
+    assert implies_str(grant, "systems:t1:read:s1:/a")
+    assert not implies_str(grant, "systems:t1:read:s1:/a/b")
+
+
 def test_required_must_be_concrete():
     with pytest.raises(MalformedPermission):
         implies_str(PERM_A, "systems:tacc:*:stampede2")

@@ -175,6 +175,15 @@ def test_a_grant_for_another_schema_answers_false(svc):
     assert svc.is_permitted(user, "systems:t1:read:s1:x") is False
 
 
+def test_a_wildcard_schema_grant_naming_a_path_covers_it_in_files(svc):
+    svc.create_role("t1", "r", "admin")
+    svc.grant_permission("r", "t1", "*:t1:read:s1:/a")  # not concrete: the general matcher
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    assert svc.is_permitted(user, "files:t1:read:s1:/a/b") is True
+    assert svc.is_permitted(user, "files:t1:read:s1:/ab") is False
+
+
 def test_memory_store_grants_keep_order_and_cost_linear_comparisons():
     compared = [0]
 

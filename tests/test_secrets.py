@@ -1,7 +1,11 @@
+import base64
 import itertools
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsec.errors import ExportFailed, NotAuthorized, NotFound, QuotaExceeded, SecretMisplaced
 from fedsec.identity import BOOTSTRAP, OPERATOR, SK_INTERNAL, Caller
@@ -291,9 +295,7 @@ def test_a_blob_copied_to_another_key_is_refused():
     store = SecretsService(backend=backend, site_id="prime", admin_tenant=ADMIN)
     store.write_secret(cred_path("bob"), SecretValue(b"bob-key"), SYSTEMS)
     store.write_secret(cred_path("alice"), SecretValue(b"alice-key"), SYSTEMS)
-    bob_blob = backend.get(f"{cred_path('bob').render()}/v1")
-    backend.put(f"{cred_path('alice').render()}/v1", bob_blob)
-    backend.put(f"{cred_path('alice').render()}/v2", bob_blob)
+    backend.put(cred_path("alice").render(), backend.get(cred_path("bob").render()))
     with pytest.raises(SecretMisplaced):
         store.read_secret(cred_path("alice"), FILES)
     with pytest.raises(SecretMisplaced):
@@ -311,6 +313,94 @@ def test_a_service_password_moved_to_another_service_does_not_validate():
                            SecretValue(password), BOOTSTRAP)
     jobs_key = SecretPath(ADMIN, SecretCategory.SERVICE_PASSWORD, "jobs", "password").render()
     apps_key = SecretPath(ADMIN, SecretCategory.SERVICE_PASSWORD, "apps", "password").render()
-    backend.put(f"{apps_key}/v1", backend.get(f"{jobs_key}/v1"))
+    backend.put(apps_key, backend.get(jobs_key))
     with pytest.raises(SecretMisplaced):
         store.validate_service_password("apps", "prime", b"jobs-pw", TOKENS)
+
+
+class CountingBackend:
+    """A backend that counts the calls made on it."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("others", [10, 10_000])
+def test_a_secret_query_is_one_backend_get_whatever_the_store_holds(others):
+    backend = CountingBackend(MemoryKvBackend())
+    store = SecretsService(backend=backend, site_id="prime", admin_tenant=ADMIN)
+    for i in range(others):
+        store.write_secret(cred_path(user=f"u{i}"), SecretValue(b"k"), SYSTEMS)
+    store.write_secret(cred_path(), SecretValue(b"v1"), SYSTEMS)
+    store.write_secret(cred_path(), SecretValue(b"v2"), SYSTEMS)
+    store.write_secret(SecretPath(ADMIN, SecretCategory.SERVICE_PASSWORD, "jobs", "password"),
+                       SecretValue(b"jobs-pw"), BOOTSTRAP)
+    queries = {
+        "read_secret": lambda: store.read_secret(cred_path(), FILES).payload == b"v2",
+        "pinned read_secret": lambda: store.read_secret(cred_path(), FILES, version=1).payload == b"v1",
+        "exists": lambda: store.exists(cred_path(), FILES),
+        "latest_version": lambda: store.latest_version(cred_path(), FILES) == 2,
+        "validate_service_password": lambda: store.validate_service_password(
+            "jobs", "prime", b"jobs-pw", TOKENS),
+    }
+    for name, query in queries.items():
+        backend.calls.clear()
+        assert query(), name
+        assert backend.calls == Counter(get=1), name
+
+
+PATHS = [cred_path(system=system) for system in ("s1", "s2", "s3")]
+secret_ops = st.lists(st.tuples(
+    st.sampled_from(["write", "read", "pinned", "latest_version", "exists"]),
+    st.integers(0, len(PATHS) - 1), st.integers(0, 4)), max_size=20)
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+@given(ops=secret_ops)
+@settings(max_examples=60, deadline=None)
+def test_secret_versions_match_a_dict_of_lists(kind, tmp_path_factory, ops):
+    key, limit = generate_master_key(), 3
+    root = tmp_path_factory.mktemp("vault") if kind == "file" else None
+    backend = FileKvBackend(root) if kind == "file" else MemoryKvBackend()
+    store = SecretsService(backend=backend, master_key=key, site_id="prime", admin_tenant=ADMIN,
+                           max_versions=limit)
+    model = {path: [] for path in PATHS}
+    for step, (op, which, version) in enumerate(ops):
+        path, versions = PATHS[which], model[PATHS[which]]
+        if op == "write":
+            payload = f"p{step}".encode()
+            if len(versions) >= limit:
+                with pytest.raises(QuotaExceeded):
+                    store.write_secret(path, SecretValue(payload), SYSTEMS)
+            else:
+                assert store.write_secret(path, SecretValue(payload), SYSTEMS) == len(versions) + 1
+                versions.append(payload)
+        elif op == "read" and versions:
+            assert store.read_secret(path, FILES).payload == versions[-1]
+        elif op == "pinned" and 1 <= version <= len(versions):
+            assert store.read_secret(path, FILES, version=version).payload == versions[version - 1]
+        elif op in ("read", "pinned"):
+            with pytest.raises(NotFound):
+                store.read_secret(path, FILES, version=version if op == "pinned" else None)
+        elif op == "latest_version" and versions:
+            assert store.latest_version(path, FILES) == len(versions)
+        elif op == "latest_version":
+            with pytest.raises(NotFound):
+                store.latest_version(path, FILES)
+        else:
+            assert store.exists(path, FILES) == bool(versions)
+    # A fresh service over the same store and key answers the same.
+    reopened = SecretsService(backend=FileKvBackend(root) if kind == "file" else backend,
+                              master_key=key, site_id="prime", admin_tenant=ADMIN)
+    for path, versions in model.items():
+        assert reopened.exists(path, FILES) == bool(versions)
+        for number, payload in enumerate(versions, 1):
+            assert reopened.read_secret(path, FILES, version=number).payload == payload
+    records = decrypt_backup(reopened.export_backup("site", "prime", OPERATOR), key)
+    assert [(r["path"], r["version"], r["payload"]) for r in records] == [
+        (path.render(), number, base64.b64encode(payload).decode())
+        for path in sorted(PATHS, key=SecretPath.render) for number, payload in enumerate(model[path], 1)]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsec.errors import NotAuthorized, NotFound, ResourceNotInSac
 from fedsec.identity import Caller
@@ -176,3 +178,72 @@ def test_no_privilege_escalation_through_sac():
             assert grantor_has
         if outcome is AccessOutcome.DENIED:
             assert not grantor_has and not grantee_has
+
+
+def test_share_writes_and_queries_cost_bounded_comparisons_whatever_the_store_holds():
+    compared = [0]
+
+    class CountingStr(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            compared[0] += 1
+            return str.__eq__(self, other)
+
+    # Comparing two grants, or a grant's resource with a queried one,
+    # compares resource ids, so every such comparison is counted.
+    svc, n = SharingService(), 2000
+    grants = [ShareGrant("tenant1", "alice", "bob", "system", CountingStr(f"sys{i}"), "READ")
+              for i in range(n)]
+    for grant in grants + grants:  # the second pass regrants each share
+        svc.create_share(grant, ALICE)
+    for i in range(n):
+        query = ("tenant1", "system", CountingStr(f"sys{i}"))
+        assert svc.is_shared_with(*query, "bob", "READ") == (True, "alice")
+        assert not svc.is_no_authn_shared(*query, "READ")
+    for grant in grants[::2]:
+        svc.revoke_share(grant, ALICE)
+    assert len(svc.list_shares("tenant1")) == n // 2
+    # A scan of one list of every grant compares each call with every stored
+    # grant: about n * n comparisons, against a few per call here.
+    assert compared[0] <= 4 * n
+
+
+share_grants = st.builds(
+    ShareGrant, tenant=st.just("tenant1"), grantor=st.sampled_from(["alice", "carol"]),
+    grantee=st.sampled_from(["bob", PUBLIC_TENANT, NO_AUTHN]), resource_type=st.just("system"),
+    resource_id=st.sampled_from(["s1", "s2"]), privilege=st.sampled_from(["READ", "MODIFY"]))
+
+
+@given(st.lists(st.tuples(st.booleans(), share_grants), max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_share_store_matches_a_list_of_grants(writes):
+    svc, model = SharingService(), []  # the model keeps grants in creation order
+    for created, grant in writes:
+        grantor = Caller(name=grant.grantor, tenant=grant.tenant, kind="user")
+        if created:
+            svc.create_share(grant, grantor)
+            if grant not in model:
+                model.append(grant)
+        elif grant in model:
+            svc.revoke_share(grant, grantor)
+            model.remove(grant)
+            with pytest.raises(NotFound):
+                svc.revoke_share(grant, grantor)
+        else:
+            with pytest.raises(NotFound):
+                svc.revoke_share(grant, grantor)
+        for resource_id in ("s1", "s2"):
+            for privilege in ("READ", "MODIFY"):
+                on = [g for g in model if (g.resource_id, g.privilege) == (resource_id, privilege)]
+                for user in ("bob", "dave"):
+                    want = next(((True, g.grantor) for g in on if g.grantee in (user, PUBLIC_TENANT)),
+                                (False, None))
+                    assert svc.is_shared_with("tenant1", "system", resource_id, user, privilege) == want
+                assert svc.is_no_authn_shared("tenant1", "system", resource_id, privilege) == any(
+                    g.grantee == NO_AUTHN for g in on)
+    assert sorted(svc.list_shares("tenant1"), key=model.index) == model
+    for grant in model:
+        svc.revoke_share(grant, Caller(name=grant.grantor, tenant=grant.tenant, kind="user"))
+    assert svc.list_shares("tenant1") == []
+    assert not svc._grants  # revoked resources leave nothing behind
