@@ -231,6 +231,7 @@ def fedsim_load(permissions, users, wait, duration, out_path, topology_path):
     click.echo(json.dumps(payload, indent=2))
     if out_path:
         Path(out_path).write_text(json.dumps(payload, indent=2))
+    sys.exit(1 if report.failures else 0)
 
 
 @fedsim_cli.command("ladder")
@@ -256,6 +257,7 @@ def fedsim_ladder(permissions, users, wait, duration, out_path):
     click.echo(json.dumps(rows, indent=2))
     if out_path:
         Path(out_path).write_text(json.dumps(rows, indent=2))
+    sys.exit(1 if any(row["failures"] for row in rows) else 0)
 
 
 @fedsim_cli.command("penalty")

@@ -100,6 +100,8 @@ class PermissionSpec:
 def _parse_part(chunk: str) -> "frozenset[str] | str":
     if chunk == "":
         raise MalformedPermission("empty part")
+    if "," not in chunk and "*" not in chunk:
+        return frozenset((chunk,))
     subs = chunk.split(",")
     if any(s == "" for s in subs):
         raise MalformedPermission(f"empty sub-part in {chunk!r}")
@@ -116,6 +118,8 @@ def _parse_part(chunk: str) -> "frozenset[str] | str":
 def _normalize_path(raw_path: str) -> str:
     if not raw_path.startswith("/"):
         raise MalformedPermission(f"path tail must be absolute: {raw_path!r}")
+    if "//" not in raw_path and "/." not in raw_path and (raw_path == "/" or raw_path[-1] != "/"):
+        return raw_path  # no empty, dot or dot-dot segment: already normal
     segments = [s for s in raw_path.split("/") if s != ""]
     if any(s in (".", "..") for s in segments):
         raise MalformedPermission(f"path tail may not contain . or .. segments: {raw_path!r}")
@@ -152,7 +156,7 @@ def parse_permission(raw: str, registry: SchemaRegistry = DEFAULT_REGISTRY) -> P
     else:
         chunks = raw.split(":")
 
-    parts = tuple(_parse_part(c) for c in chunks)
+    parts = (first_part, *map(_parse_part, chunks[1:]))
     return PermissionSpec(raw=raw, parts=parts, path_tail=path_tail)
 
 

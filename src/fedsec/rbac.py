@@ -10,16 +10,18 @@ implies a concrete request.
 Each site keeps its policy in an in-memory store that the federation
 bootstraps from config on every start. The service layer on top handles
 cycle rejection, closure memoization, and per-tenant write serialization,
-so queries never observe a partially applied graph mutation. The first
-check of a role compiles its grants into a matcher; each later grant or
-revoke applies just that grant to it as a delta, so a policy write never
-reparses the role's other grants.
+so queries never observe a partially applied graph mutation. Each grant
+is parsed once, when it is written, and stored with what the matcher needs
+of it; a role's first check builds its matcher from the stored grants
+without parsing them, and each later grant or revoke applies just that
+grant to the matcher as a delta.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import CycleDetected, MalformedPermission, NotAuthorized, RoleExists, UnknownRole
@@ -32,6 +34,8 @@ from .permissions import (
     implies,
     parse_permission,
 )
+
+AUDIT_LIMIT = 10_000  # audit entries a store keeps; older ones are dropped
 
 # Reserved naming: "$$<username>" is the per-user default role; "$!" marks
 # platform roles created at tenant creation. User-supplied names may use
@@ -73,8 +77,8 @@ class MemoryRbacStore:
         self._roles = {}         # (tenant, name) -> (owner, description)
         self._edges = {}         # tenant -> {parent: set(children)}
         self._assignments = {}   # tenant -> {subject: {role: grantor}}
-        self._perms = {}         # (tenant, role) -> {permission: None}, insertion-ordered
-        self.audit_log = []
+        self._perms = {}         # (tenant, role) -> {permission: matcher entry}, insertion-ordered
+        self.audit_log = deque(maxlen=AUDIT_LIMIT)
 
     def get_role(self, tenant, name):
         return self._roles.get((tenant, name))
@@ -110,8 +114,8 @@ class MemoryRbacStore:
     def assignments_of(self, tenant, subject):
         return set(self._assignments.get(tenant, {}).get(subject, {}))
 
-    def add_permission(self, tenant, role, permission):
-        self._perms.setdefault((tenant, role), {})[permission] = None
+    def add_permission(self, tenant, role, permission, entry):
+        self._perms.setdefault((tenant, role), {})[permission] = entry
 
     def remove_permission(self, tenant, role, permission):
         self._perms.get((tenant, role), {}).pop(permission, None)
@@ -119,25 +123,35 @@ class MemoryRbacStore:
     def permissions_of(self, tenant, role):
         return list(self._perms.get((tenant, role), ()))
 
+    def grants_of(self, tenant, role):
+        """(permission, matcher entry) pairs, insertion-ordered: a live view, not a
+        copy, so a reader holds the tenant's write lock while it iterates."""
+        return self._perms.get((tenant, role), {}).items()
+
     def audit(self, tenant, action, detail):
         self.audit_log.append((time.time(), tenant, action, detail))
 
 
-def _extension_prefix(spec: PermissionSpec, canon: str) -> str:
-    """What a request extending the concrete grant ``canon`` starts with: a part
-    boundary (``:``), a directory boundary (``/``), or the root path grant itself."""
+def _matcher_entry(spec: PermissionSpec):
+    """What the matcher keeps of a grant: the spec of a wildcard or comma-set
+    grant, or the boundary that a request extending a concrete grant has after
+    it: a part boundary (``:``), a directory boundary (``/``), or none for the
+    root path grant."""
+    if not spec.is_concrete():
+        return spec
     if spec.path_tail is None:
-        return canon + ":"
-    return canon if spec.path_tail == "/" else canon + "/"
+        return ":"
+    return "" if spec.path_tail == "/" else "/"
 
 
 class _CompiledGrants:
     """Immutable pre-rendered matcher for one role's grants.
 
     A concrete grant g implies a concrete canonical request r exactly when
-    r == g or r starts with g's extension prefix. Grants carrying wildcards
-    or comma sets fall back to the general matcher. The first check of a role
-    compiles it from the store; each later write replaces it with ``updated``.
+    r == g or r starts with g's extension prefix, g followed by its boundary.
+    Grants carrying wildcards or comma sets fall back to the general matcher.
+    The first check of a role builds it from the store's entries; each later
+    write replaces it with ``updated``.
     """
 
     __slots__ = ("exact", "prefixes", "general")
@@ -146,29 +160,28 @@ class _CompiledGrants:
         self.exact, self.prefixes, self.general = exact, prefixes, general
 
     @classmethod
-    def compile(cls, grants, registry):
-        """Matcher for stored grants, each already canonical and so kept as is."""
+    def from_entries(cls, grants):
+        """Matcher for the store's (canonical grant, matcher entry) pairs."""
         exact, prefixes, general = set(), [], []
-        for canon in grants:
-            spec = parse_permission(canon, registry)
-            if spec.is_concrete():
+        for canon, entry in grants:
+            if isinstance(entry, str):
                 exact.add(canon)
-                prefixes.append(_extension_prefix(spec, canon))
+                prefixes.append(canon + entry)
             else:
-                general.append(spec)
+                general.append(entry)
         return cls(frozenset(exact), tuple(prefixes), tuple(general))
 
-    def updated(self, spec: PermissionSpec, canon: str, granted: bool) -> "_CompiledGrants":
+    def updated(self, canon: str, entry, granted: bool) -> "_CompiledGrants":
         """This matcher with one grant added or removed: a copy, or itself when the
         role already holds (or lacks) it, as the store's grant set does."""
-        if not spec.is_concrete():
-            if (spec in self.general) == granted:
+        if not isinstance(entry, str):
+            if (entry in self.general) == granted:
                 return self
-            general = self.general + (spec,) if granted else tuple(g for g in self.general if g != spec)
+            general = self.general + (entry,) if granted else tuple(g for g in self.general if g != entry)
             return _CompiledGrants(self.exact, self.prefixes, general)
         if (canon in self.exact) == granted:
             return self
-        prefix = _extension_prefix(spec, canon)
+        prefix = canon + entry
         if granted:
             return _CompiledGrants(self.exact | {canon}, self.prefixes + (prefix,), self.general)
         return _CompiledGrants(self.exact - {canon}, tuple(p for p in self.prefixes if p != prefix),
@@ -354,21 +367,21 @@ class RbacService:
     def _write_grant(self, role_name, tenant, permission, caller, granted):
         self._authorize_admin(tenant, caller)
         spec = parse_permission(permission, self.registry)
-        canon = canonicalize(spec)
+        canon, entry = canonicalize(spec), _matcher_entry(spec)
         with self._lock(tenant):
             if self.store.get_role(tenant, role_name) is None:
                 raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
             if granted:
-                self.store.add_permission(tenant, role_name, canon)
+                self.store.add_permission(tenant, role_name, canon, entry)
             else:
                 self.store.remove_permission(tenant, role_name, canon)
             compiled = self._compiled.get((tenant, role_name))
             if compiled is not None:
-                self._compiled[(tenant, role_name)] = compiled.updated(spec, canon, granted)
+                self._compiled[(tenant, role_name)] = compiled.updated(canon, entry, granted)
 
     def _compiled_for(self, tenant, role) -> _CompiledGrants:
-        return self._cached(self._compiled, (tenant, role), tenant, lambda: _CompiledGrants.compile(
-            self.store.permissions_of(tenant, role), self.registry))
+        return self._cached(self._compiled, (tenant, role), tenant, lambda: _CompiledGrants.from_entries(
+            self.store.grants_of(tenant, role)))
 
     def is_permitted(self, user: UserIdentity, required_permission: str) -> bool:
         return self.subject_is_permitted(user.tenant, user.username, required_permission)

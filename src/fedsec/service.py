@@ -471,12 +471,15 @@ class _SiteHTTPHandler(socketserver.StreamRequestHandler):
         return method, target, headers, body, close
 
     def _respond(self, response: Response, close: bool):
-        payload = response.encoded()
-        headers = {"Content-Type": "application/json", "Content-Length": len(payload),
-                   **response.headers}
-        if close:
-            headers["Connection"] = "close"
-        self.wfile.write(encode_response(response.status, headers, payload))
+        self.wfile.write(_http_response(response, close))
+
+
+def _http_response(response: Response, close: bool) -> bytes:
+    payload = response.encoded()
+    headers = {"Content-Type": "application/json", "Content-Length": len(payload), **response.headers}
+    if close:
+        headers["Connection"] = "close"
+    return encode_response(response.status, headers, payload)
 
 
 class SiteServer(socketserver.ThreadingTCPServer):
@@ -485,6 +488,37 @@ class SiteServer(socketserver.ThreadingTCPServer):
     # Default backlog (5) overflows when a load run's virtual users connect
     # at once, surfacing as ~1s SYN-retransmit latency spikes.
     request_queue_size = 128
+    # Live handler threads, one per open connection. A connection over the cap
+    # is answered 503 and closed without a thread.
+    max_handlers = 256
+
+    def __init__(self, *args, **kwargs):
+        self._handler_slots = threading.BoundedSemaphore(self.max_handlers)
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address):
+        if not self._handler_slots.acquire(blocking=False):
+            self._refuse(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._handler_slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._handler_slots.release()
+
+    def _refuse(self, request):
+        busy = fail(503, "SERVER_BUSY", f"more than {self.max_handlers} open connections")
+        try:
+            request.sendall(_http_response(busy, close=True))
+        except OSError:
+            pass  # the client has gone already
+        self.shutdown_request(request)
 
 
 class SiteHandle:

@@ -6,6 +6,8 @@ clever matching, so the fast implementations can be checked against them.
 
 from itertools import product
 
+from fedsec.errors import MalformedPermission, SchemaMismatch, UnknownSchema
+
 
 def cover_set(parts, alphabet, depth):
     """All concrete access tuples of length ``depth`` covered by a part list.
@@ -124,3 +126,59 @@ def oracle_has_cycle(edges):
                 color[node] = BLACK
                 stack.pop()
     return False
+
+
+def _reference_part(chunk):
+    if chunk == "":
+        raise MalformedPermission("empty part")
+    subs = chunk.split(",")
+    if any(s == "" for s in subs):
+        raise MalformedPermission(f"empty sub-part in {chunk!r}")
+    if "*" in subs:
+        if len(subs) != 1:
+            raise MalformedPermission(f"wildcard mixed with literals in {chunk!r}")
+        return "*"
+    for s in subs:
+        if "*" in s:
+            raise MalformedPermission(f"partial wildcard {s!r} is not supported")
+    return frozenset(subs)
+
+
+def _reference_path(raw_path):
+    if not raw_path.startswith("/"):
+        raise MalformedPermission(f"path tail must be absolute: {raw_path!r}")
+    segments = [s for s in raw_path.split("/") if s != ""]
+    if any(s in (".", "..") for s in segments):
+        raise MalformedPermission(f"path tail may not contain . or .. segments: {raw_path!r}")
+    return "/" + "/".join(segments) if segments else "/"
+
+
+def _reference_path_index(first_part, registry):
+    if first_part == "*":
+        return None
+    indexes = set()
+    for literal in first_part:
+        rule = registry.rule_for(literal)
+        if rule is None and registry.strict:
+            raise UnknownSchema(f"no schema rule for {literal!r}")
+        indexes.add(rule.path_part_index if rule else None)
+    if len(indexes) > 1:
+        raise SchemaMismatch(f"leading part {sorted(first_part)} mixes schemas with different path semantics")
+    return indexes.pop()
+
+
+def reference_parse(raw, registry):
+    """``(parts, path_tail)`` of a permission string, by the straightforward parser
+    that splits every part and normalizes every path: each part is ``"*"`` or a
+    frozenset of literals. Raises the library's exceptions, with its messages."""
+    if not raw:
+        raise MalformedPermission("empty permission string")
+    first_part = _reference_part(raw.split(":", 1)[0])
+    path_index = _reference_path_index(first_part, registry)
+    path_tail = None
+    if path_index is not None and raw.count(":") >= path_index:
+        chunks = raw.split(":", path_index)
+        path_tail = _reference_path(chunks.pop())
+    else:
+        chunks = raw.split(":")
+    return tuple(_reference_part(c) for c in chunks), path_tail

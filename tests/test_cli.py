@@ -4,11 +4,19 @@ import json
 import os
 import stat
 
+import pytest
 from click.testing import CliRunner
 
-from fedsec.cli import sk_admin
+from fedsec.cli import fedsim_cli, sk_admin
 from fedsec.identity import BOOTSTRAP
 from fedsec.secrets import FileKvBackend, SecretCategory, SecretPath, SecretsService
+from fedsec.service import SecurityKernelApp
+from fedsec.wire import fail
+
+LOAD_RUNS = {
+    "load": ["load", "--permissions", "1000", "--users", "2", "--wait", "0.01:0.02", "--duration", "0.3"],
+    "ladder": ["ladder", "--permissions", "1000", "--users", "2", "--wait", "0.01:0.02", "--duration", "0.3"],
+}
 
 
 def test_bootstrap_creates_master_key_owner_only(tmp_path, monkeypatch):
@@ -51,3 +59,26 @@ def test_bootstrap_reruns_over_the_file_store(tmp_path, monkeypatch):
     latest = store.read_secret(path, BOOTSTRAP).payload
     first_version = store.read_secret(path, BOOTSTRAP, version=1).payload
     assert latest == store.read_secret(path, BOOTSTRAP, version=2).payload != first_version
+
+
+def _reports(output):
+    reports = json.loads(output)
+    return reports if isinstance(reports, list) else [reports]
+
+
+@pytest.mark.parametrize("args", LOAD_RUNS.values(), ids=LOAD_RUNS.keys())
+def test_a_load_run_without_failures_exits_0(args):
+    result = CliRunner().invoke(fedsim_cli, args)
+    assert result.exit_code == 0, result.output
+    assert [(r["requests"] > 0, r["failures"]) for r in _reports(result.output)] == [(True, 0)]
+
+
+@pytest.mark.parametrize("args", LOAD_RUNS.values(), ids=LOAD_RUNS.keys())
+def test_a_load_run_with_failed_checks_exits_1(args, monkeypatch):
+    def unavailable(self, req, verdict, permission: str, tenant: str = None, username: str = None):
+        return fail(503, "UNAVAILABLE", "the check endpoint is down")
+
+    monkeypatch.setattr(SecurityKernelApp, "is_permitted", unavailable)
+    result = CliRunner().invoke(fedsim_cli, args)
+    assert result.exit_code == 1, result.output
+    assert all(r["failures"] == r["requests"] > 0 for r in _reports(result.output))

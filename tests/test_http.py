@@ -15,7 +15,7 @@ from http.client import HTTPConnection
 
 import pytest
 
-from fedsec.service import _SiteHTTPHandler
+from fedsec.service import SiteServer, _SiteHTTPHandler, serve_site
 from fedsec.sim.federation import build_federation
 from fedsec.sim.presets import two_site_topology
 from fedsec.wire import MAX_BODY, MAX_HEADERS, MAX_LINE, encode_request
@@ -126,6 +126,36 @@ def test_a_framing_mistake_answers_4xx_and_closes(site, request_bytes, status):
     assert closed
     assert handled == []
     _still_served(port)
+
+
+def test_a_connection_over_the_handler_cap_is_answered_503_without_a_thread(fed, monkeypatch):
+    monkeypatch.setattr(SiteServer, "max_handlers", 2)
+    listener = serve_site(fed.runtimes["prime"])
+    clients = []
+    try:
+        for _ in range(2):  # idle keep-alive connections, each holding a handler thread
+            clients.append(_Client(listener.port))
+            clients[-1].sock.sendall(HEALTH + b"\r\n")
+            assert clients[-1].response()[0] == 200
+        before = set(threading.enumerate())
+        clients.append(_Client(listener.port))
+        status, headers, body = clients[-1].response()
+        assert (status, headers["connection"]) == (503, "close")
+        assert json.loads(body)["result"]["code"] == "SERVER_BUSY"
+        assert clients[-1].at_eof()
+        assert set(threading.enumerate()) <= before
+        clients[0].close()  # frees its handler's slot once the handler sees EOF
+        deadline = time.monotonic() + TIMEOUT
+        while True:
+            (status, _, _), _ = _exchange(listener.port, HEALTH + b"Connection: close\r\n\r\n")
+            if status == 200 or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert status == 200
+    finally:
+        for client in clients:
+            client.close()
+        listener.close()
 
 
 def test_a_leading_double_slash_is_never_read_as_a_network_location(site):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from fedsec.errors import MalformedPermission, SchemaMismatch, UnknownSchema
 from fedsec.permissions import (
+    DEFAULT_REGISTRY,
     WILDCARD,
     PermissionSpec,
     SchemaRegistry,
@@ -14,7 +15,7 @@ from fedsec.permissions import (
     parse_permission,
 )
 
-from .oracles import oracle_implies_parts, oracle_path_prefix
+from .oracles import oracle_implies_parts, oracle_path_prefix, reference_parse
 
 # The worked examples: a grantee of (a) reads stampede2 in tacc, (b) has all
 # access to frontera in cyverse, (c) reads and modifies corral in a2cps.
@@ -295,3 +296,31 @@ def test_implies_never_raises_and_other_schemas_never_imply(granted, required):
     got = implies(g, r)
     if g.parts[0] != WILDCARD and g.parts[0] != r.parts[0]:
         assert got is False
+
+
+# Pieces of permission strings: literals, wildcards, comma sets, empty parts
+# and sub-parts, and paths with empty, dot, dot-dot, dot-file and trailing segments.
+parse_heads = st.sampled_from(["", "a", "files:", "files:t:r:s:", "files:t:r:s:/", "a,files:t:r:s:",
+                               "*:t:r:s:", "a:b:", "b,a:*:"])
+parse_pieces = st.lists(st.sampled_from(["a", "b", "*", ",", ":", "/", ".", "//", "/./", "/../",
+                                         "/.hidden", ".hidden", "/a/"]), max_size=10)
+parse_registries = st.sampled_from([
+    DEFAULT_REGISTRY,
+    SchemaRegistry([SchemaRule("files", 4), SchemaRule("a", 2)]),
+    SchemaRegistry([SchemaRule("files", 4), SchemaRule("a", 4)], strict=True),
+])
+
+
+@given(parse_heads, parse_pieces, parse_registries)
+@settings(max_examples=800, deadline=None)
+def test_parse_agrees_with_the_reference_parser(head, pieces, registry):
+    raw = head + "".join(pieces)
+    try:
+        expected = reference_parse(raw, registry)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as caught:
+            parse_permission(raw, registry)
+        assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
+    else:
+        spec = parse_permission(raw, registry)
+        assert (spec.parts, spec.path_tail) == expected

@@ -197,7 +197,7 @@ def test_memory_store_grants_keep_order_and_cost_linear_comparisons():
     store, n = MemoryRbacStore(), 2000
     grants = [f"files:t1:read:s:/p{i}" for i in range(n)]
     for grant in grants + grants:  # the second pass re-adds each grant
-        store.add_permission("t1", "r", CountingStr(grant))
+        store.add_permission("t1", "r", CountingStr(grant), "/")
     for grant in grants[::2] + grants[::2]:  # and removes twice
         store.remove_permission("t1", "r", CountingStr(grant))
     assert store.permissions_of("t1", "r") == grants[1::2]
@@ -407,12 +407,14 @@ def test_writes_to_a_compiled_role_match_a_naive_scan(writes):
             naive = any(implies(parse_permission(g), req_spec) for g in stored)
             assert svc.is_permitted(user, required) == naive, (step, required)
         # The matcher the writes kept up to date holds each stored grant once,
-        # exactly as a fresh compile of the store does.
+        # exactly as one built by parsing the stored grants does.
         kept = svc._compiled[("t1", "r")]
-        fresh = rbac_module._CompiledGrants.compile(stored, DEFAULT_REGISTRY)
-        assert kept.exact == fresh.exact
-        assert Counter(kept.prefixes) == Counter(fresh.prefixes)
-        assert Counter(kept.general) == Counter(fresh.general)
+        specs = [(g, parse_permission(g)) for g in stored]
+        concrete = [(g, s.path_tail) for g, s in specs if s.is_concrete()]
+        assert kept.exact == {g for g, _ in concrete}
+        assert Counter(kept.prefixes) == Counter(
+            g + ":" if tail is None else g if tail == "/" else g + "/" for g, tail in concrete)
+        assert Counter(kept.general) == Counter(s for _, s in specs if not s.is_concrete())
 
 
 def test_a_write_to_a_compiled_role_parses_only_the_written_grant(monkeypatch):
@@ -433,6 +435,49 @@ def test_a_write_to_a_compiled_role_parses_only_the_written_grant(monkeypatch):
     svc.grant_permission("r", "t1", "files:t1:read:s1:/new")
     assert svc.is_permitted(user, "files:t1:read:s1:/new/x")
     assert len(parsed) <= 2
+
+
+def test_a_roles_first_check_parses_only_the_request(monkeypatch):
+    svc = RbacService(MemoryRbacStore())
+    svc.create_role("t1", "r", "admin")
+    kinds = [lambda i: f"files:t1:read:s1:/p{i}", lambda i: f"systems:t1:read:s{i}",
+             lambda i: f"files:t1:read,modify:s2:/q{i}", lambda i: f"systems:t1:*:w{i}"]
+    grants = [kinds[i % 4](i) for i in range(2000)] + ["files:t1:read:s3:/"]
+    for grant in grants:
+        svc.grant_permission("r", "t1", grant)
+    svc.revoke_permission("r", "t1", grants[4])  # 2000 grants stay
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    parsed = []
+
+    def counting_parse(raw, registry=DEFAULT_REGISTRY):
+        parsed.append(raw)
+        return parse_permission(raw, registry)
+
+    monkeypatch.setattr(rbac_module, "parse_permission", counting_parse)
+    assert svc.is_permitted(user, "files:t1:read:s1:/p0/x")  # builds the role's matcher
+    assert parsed == ["files:t1:read:s1:/p0/x"]
+    monkeypatch.undo()
+
+    held = [parse_permission(g) for g in grants if g != grants[4]]
+    for required in ["files:t1:read:s1:/p4/x", "files:t1:read:s1:/p8", "files:t1:read:s1:/p8x",
+                     "systems:t1:read:s1", "systems:t1:read:s1:x", "systems:t1:read:s5",
+                     "files:t1:modify:s2:/q2/y", "files:t1:modify:s2:/q6y", "systems:t1:exec:w3",
+                     "systems:t1:exec:w7:z", "files:t1:read:s3:/any/path", "files:t1:read:s9:/"]:
+        req_spec = parse_permission(required)
+        assert svc.is_permitted(user, required) == any(implies(g, req_spec) for g in held), required
+
+
+def test_the_audit_log_keeps_only_the_most_recent_entries(monkeypatch):
+    monkeypatch.setattr(rbac_module, "AUDIT_LIMIT", 3)
+    svc = RbacService(MemoryRbacStore())
+    names = [f"r{i}" for i in range(5)]
+    for name in names:
+        svc.create_role("t1", name, "admin")
+    for name in names:
+        svc.delete_role("t1", name)
+    assert [entry[1:] for entry in svc.store.audit_log] == [
+        ("t1", "delete_role_cascade", name) for name in names[-3:]]
 
 
 def test_readers_of_a_compiled_role_see_only_a_prefix_of_its_writes():
@@ -555,10 +600,10 @@ class _SlowStore(MemoryRbacStore):
         time.sleep(0.0005)
         return edges
 
-    def permissions_of(self, tenant, role):
-        perms = super().permissions_of(tenant, role)
+    def grants_of(self, tenant, role):
+        grants = super().grants_of(tenant, role)
         time.sleep(0.0005)
-        return perms
+        return grants
 
 
 def test_caches_never_serve_a_decision_a_finished_write_made_stale():
