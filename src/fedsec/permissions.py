@@ -166,6 +166,15 @@ def canonicalize(spec: PermissionSpec) -> str:
     parse(canonicalize(s)) equals s whenever s was parsed under the same
     registry.
     """
+    # A parsed spec's raw string is only as long as its literals, path tail and
+    # separators when it is canonical: each part is ``*`` or one literal written
+    # once (a comma set is longer), and the path tail was kept as is.
+    size = len(spec.parts) - 1 if spec.path_tail is None else len(spec.parts) + len(spec.path_tail)
+    for part in spec.parts:
+        for literal in part:
+            size += len(literal)
+    if size == len(spec.raw):
+        return spec.raw
     rendered = []
     for part in spec.parts:
         if part is WILDCARD or part == WILDCARD:

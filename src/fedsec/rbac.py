@@ -11,17 +11,16 @@ Each site keeps its policy in an in-memory store that the federation
 bootstraps from config on every start. The service layer on top handles
 cycle rejection, closure memoization, and per-tenant write serialization,
 so queries never observe a partially applied graph mutation. Each grant
-is parsed once, when it is written, and stored with what the matcher needs
-of it; a role's first check builds its matcher from the stored grants
-without parsing them, and each later grant or revoke applies just that
-grant to the matcher as a delta.
+is parsed once, when it is written. The store keeps one record per role
+that is both its grant list and its matcher: a grant or revoke changes
+the record in place, and a check reads it without taking a lock.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from .errors import CycleDetected, MalformedPermission, NotAuthorized, RoleExists, UnknownRole
@@ -70,6 +69,65 @@ def _reach(edges, start) -> frozenset:
     return frozenset(seen)
 
 
+def _matcher_entry(spec: PermissionSpec, canon: str):
+    """The spec of a wildcard or comma-set grant, or a concrete grant's extension
+    prefix: the grant and the boundary a request extending it has after it, a
+    part boundary (``:``), a directory boundary (``/``), or none for the root path."""
+    if not spec.is_concrete():
+        return spec
+    if spec.path_tail is None:
+        return canon + ":"
+    return canon if spec.path_tail == "/" else canon + "/"
+
+
+class _RoleGrants:
+    """One role's grants, held once: both their store and their matcher.
+
+    A concrete grant g implies a concrete canonical request r exactly when
+    r == g or r starts with g's extension prefix, and r can equal only a
+    concrete grant's canonical form. Grants carrying wildcards or comma sets
+    fall back to the general matcher. Writes hold the tenant lock; checks
+    read without it. A revoke swaps in a filtered copy of ``prefixes``,
+    because a ``list.remove`` under a reader's scan can make it skip another
+    prefix. ``version`` counts finished writes.
+    """
+
+    __slots__ = ("entries", "prefixes", "general", "version")
+
+    def __init__(self):
+        self.entries = {}    # canonical grant -> extension prefix or spec, insertion-ordered
+        self.prefixes = []   # the extension prefix of each concrete grant
+        self.general = ()    # the spec of each wildcard or comma-set grant
+        self.version = 0
+
+    def add(self, canon: str, entry):
+        if canon in self.entries:
+            return
+        self.entries[canon] = entry
+        if isinstance(entry, str):
+            self.prefixes.append(entry)
+        else:
+            self.general += (entry,)
+        self.version += 1
+
+    def remove(self, canon: str):
+        entry = self.entries.pop(canon, None)
+        if entry is None:
+            return
+        if isinstance(entry, str):
+            self.prefixes = [p for p in self.prefixes if p is not entry]
+        else:
+            self.general = tuple(g for g in self.general if g is not entry)
+        self.version += 1
+
+    def permits(self, canonical_required: str, required: PermissionSpec) -> bool:
+        if canonical_required in self.entries:
+            return True
+        if any(canonical_required.startswith(p) for p in self.prefixes):
+            return True
+        return any(implies(g, required) for g in self.general)
+
+
 class MemoryRbacStore:
     """Dict-backed store of one site's roles, edges, assignments and grants."""
 
@@ -77,7 +135,7 @@ class MemoryRbacStore:
         self._roles = {}         # (tenant, name) -> (owner, description)
         self._edges = {}         # tenant -> {parent: set(children)}
         self._assignments = {}   # tenant -> {subject: {role: grantor}}
-        self._perms = {}         # (tenant, role) -> {permission: matcher entry}, insertion-ordered
+        self._grants = defaultdict(_RoleGrants)   # (tenant, role) -> _RoleGrants
         self.audit_log = deque(maxlen=AUDIT_LIMIT)
 
     def get_role(self, tenant, name):
@@ -94,7 +152,7 @@ class MemoryRbacStore:
             children.discard(name)
         for by_subject in self._assignments.get(tenant, {}).values():
             by_subject.pop(name, None)
-        self._perms.pop((tenant, name), None)
+        self._grants.pop((tenant, name), None)
 
     def role_names(self, tenant):
         return [name for (t, name) in self._roles if t == tenant]
@@ -115,84 +173,21 @@ class MemoryRbacStore:
         return set(self._assignments.get(tenant, {}).get(subject, {}))
 
     def add_permission(self, tenant, role, permission, entry):
-        self._perms.setdefault((tenant, role), {})[permission] = entry
+        self._grants[(tenant, role)].add(permission, entry)
 
     def remove_permission(self, tenant, role, permission):
-        self._perms.get((tenant, role), {}).pop(permission, None)
+        self._grants[(tenant, role)].remove(permission)
 
     def permissions_of(self, tenant, role):
-        return list(self._perms.get((tenant, role), ()))
+        grants = self._grants.get((tenant, role))
+        return [] if grants is None else list(grants.entries)
 
-    def grants_of(self, tenant, role):
-        """(permission, matcher entry) pairs, insertion-ordered: a live view, not a
-        copy, so a reader holds the tenant's write lock while it iterates."""
-        return self._perms.get((tenant, role), {}).items()
+    def role_grants(self, tenant, role) -> _RoleGrants | None:
+        """The role's grant record, or None before its first write."""
+        return self._grants.get((tenant, role))
 
     def audit(self, tenant, action, detail):
         self.audit_log.append((time.time(), tenant, action, detail))
-
-
-def _matcher_entry(spec: PermissionSpec):
-    """What the matcher keeps of a grant: the spec of a wildcard or comma-set
-    grant, or the boundary that a request extending a concrete grant has after
-    it: a part boundary (``:``), a directory boundary (``/``), or none for the
-    root path grant."""
-    if not spec.is_concrete():
-        return spec
-    if spec.path_tail is None:
-        return ":"
-    return "" if spec.path_tail == "/" else "/"
-
-
-class _CompiledGrants:
-    """Immutable pre-rendered matcher for one role's grants.
-
-    A concrete grant g implies a concrete canonical request r exactly when
-    r == g or r starts with g's extension prefix, g followed by its boundary.
-    Grants carrying wildcards or comma sets fall back to the general matcher.
-    The first check of a role builds it from the store's entries; each later
-    write replaces it with ``updated``.
-    """
-
-    __slots__ = ("exact", "prefixes", "general")
-
-    def __init__(self, exact, prefixes, general):
-        self.exact, self.prefixes, self.general = exact, prefixes, general
-
-    @classmethod
-    def from_entries(cls, grants):
-        """Matcher for the store's (canonical grant, matcher entry) pairs."""
-        exact, prefixes, general = set(), [], []
-        for canon, entry in grants:
-            if isinstance(entry, str):
-                exact.add(canon)
-                prefixes.append(canon + entry)
-            else:
-                general.append(entry)
-        return cls(frozenset(exact), tuple(prefixes), tuple(general))
-
-    def updated(self, canon: str, entry, granted: bool) -> "_CompiledGrants":
-        """This matcher with one grant added or removed: a copy, or itself when the
-        role already holds (or lacks) it, as the store's grant set does."""
-        if not isinstance(entry, str):
-            if (entry in self.general) == granted:
-                return self
-            general = self.general + (entry,) if granted else tuple(g for g in self.general if g != entry)
-            return _CompiledGrants(self.exact, self.prefixes, general)
-        if (canon in self.exact) == granted:
-            return self
-        prefix = canon + entry
-        if granted:
-            return _CompiledGrants(self.exact | {canon}, self.prefixes + (prefix,), self.general)
-        return _CompiledGrants(self.exact - {canon}, tuple(p for p in self.prefixes if p != prefix),
-                               self.general)
-
-    def permits(self, canonical_required: str, required: PermissionSpec) -> bool:
-        if canonical_required in self.exact:
-            return True
-        if any(canonical_required.startswith(p) for p in self.prefixes):
-            return True
-        return any(implies(g, required) for g in self.general)
 
 
 class RbacService:
@@ -204,7 +199,6 @@ class RbacService:
         self._tenant_locks = {}
         self._locks_guard = threading.Lock()
         self._closures = {}   # tenant -> {role: frozenset(reachable incl. self)}
-        self._compiled = {}   # (tenant, role) -> _CompiledGrants
 
     def _lock(self, tenant) -> threading.RLock:
         with self._locks_guard:
@@ -262,7 +256,6 @@ class RbacService:
             self.store.delete_role(tenant, name)
             self.store.audit(tenant, "delete_role_cascade", name)
             self._invalidate_graph(tenant)
-            self._compiled.pop((tenant, name), None)
 
     def create_tenant_defaults(self, tenant):
         """Reserved roles every tenant carries from creation."""
@@ -284,22 +277,18 @@ class RbacService:
             self.store.add_edge(tenant, parent, child)
             self._invalidate_graph(tenant)
 
-    def _cached(self, cache, key, tenant, build):
-        """``cache[key]``, built on a miss under the tenant lock, which each write holds
-        from its store change to its cache update: no entry predates a finished write."""
-        value = cache.get(key)
-        if value is None:
-            with self._lock(tenant):
-                value = cache.get(key)
-                if value is None:
-                    value = cache[key] = build()
-        return value
-
     def _closure_map(self, tenant):
-        def build():
-            edges = self.store.edges(tenant)
-            return {role: _reach(edges, role) for role in self.store.role_names(tenant)}
-        return self._cached(self._closures, tenant, tenant, build)
+        """Each role's reach, built on a miss under the tenant lock, which each write
+        holds from its store change to its invalidation: no map predates a finished write."""
+        closures = self._closures.get(tenant)
+        if closures is None:
+            with self._lock(tenant):
+                closures = self._closures.get(tenant)
+                if closures is None:
+                    edges = self.store.edges(tenant)
+                    closures = self._closures[tenant] = {
+                        role: _reach(edges, role) for role in self.store.role_names(tenant)}
+        return closures
 
     # -- assignments --
 
@@ -367,21 +356,14 @@ class RbacService:
     def _write_grant(self, role_name, tenant, permission, caller, granted):
         self._authorize_admin(tenant, caller)
         spec = parse_permission(permission, self.registry)
-        canon, entry = canonicalize(spec), _matcher_entry(spec)
+        canon = canonicalize(spec)
         with self._lock(tenant):
             if self.store.get_role(tenant, role_name) is None:
                 raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
             if granted:
-                self.store.add_permission(tenant, role_name, canon, entry)
+                self.store.add_permission(tenant, role_name, canon, _matcher_entry(spec, canon))
             else:
                 self.store.remove_permission(tenant, role_name, canon)
-            compiled = self._compiled.get((tenant, role_name))
-            if compiled is not None:
-                self._compiled[(tenant, role_name)] = compiled.updated(canon, entry, granted)
-
-    def _compiled_for(self, tenant, role) -> _CompiledGrants:
-        return self._cached(self._compiled, (tenant, role), tenant, lambda: _CompiledGrants.from_entries(
-            self.store.grants_of(tenant, role)))
 
     def is_permitted(self, user: UserIdentity, required_permission: str) -> bool:
         return self.subject_is_permitted(user.tenant, user.username, required_permission)
@@ -392,6 +374,17 @@ class RbacService:
             raise MalformedPermission(f"required permission must be concrete: {required_permission!r}")
         canonical = canonicalize(required)
         for role in self.effective_roles(tenant, subject):
-            if self._compiled_for(tenant, role).permits(canonical, required):
+            grants = self.store.role_grants(tenant, role)
+            if grants is None:
+                continue
+            # A True read without the lock saw a grant the role held. A False read
+            # during which a write to the role finished may mix parts of the role
+            # from before and after several writes, so it is read again under the lock.
+            version = grants.version
+            if grants.permits(canonical, required):
                 return True
+            if grants.version != version:
+                with self._lock(tenant):
+                    if grants.permits(canonical, required):
+                        return True
         return False

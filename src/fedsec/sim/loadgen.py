@@ -96,7 +96,8 @@ def seed_permissions(federation, permission_count: int, tenant: str = "tenant1",
 
     Permissions are written through the site's RBAC service directly (the
     measured operation is the query endpoint, not seeding) as 1000 distinct
-    path grants per system, 200 per archetype.
+    path grants per system, 200 per archetype. Each write leaves its role's
+    record ready to answer checks, so the first request needs no warm-up.
     """
     if permission_count % PERMISSIONS_PER_SYSTEM:
         raise SeedingFailed(f"permission count must be a multiple of {PERMISSIONS_PER_SYSTEM}")
@@ -125,11 +126,6 @@ def seed_permissions(federation, permission_count: int, tenant: str = "tenant1",
                     rbac.grant_permission(role, tenant, permission)
     except Exception as exc:
         raise SeedingFailed(f"seeding {permission_count} permissions failed: {exc}") from exc
-
-    # Warm the per-role compiled-grant caches so the first measured request
-    # does not pay the one-off parse of the whole grant list.
-    for username in usernames:
-        rbac.subject_is_permitted(tenant, username, f"files:{tenant}:read:lsys0000:/warmup")
 
     workload = SeededWorkload(tenant=tenant, usernames=usernames,
                               permission_count=permission_count)

@@ -182,3 +182,12 @@ def reference_parse(raw, registry):
     else:
         chunks = raw.split(":")
     return tuple(_reference_part(c) for c in chunks), path_tail
+
+
+def reference_canonicalize(spec):
+    """A spec's canonical string, rendered part by part from its parsed fields:
+    each literal set sorted and comma-joined, then the normalized path tail."""
+    rendered = ["*" if part == "*" else ",".join(sorted(part)) for part in spec.parts]
+    if spec.path_tail is not None:
+        rendered.append(spec.path_tail)
+    return ":".join(rendered)

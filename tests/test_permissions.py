@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsec.errors import MalformedPermission, SchemaMismatch, UnknownSchema
@@ -15,7 +15,7 @@ from fedsec.permissions import (
     parse_permission,
 )
 
-from .oracles import oracle_implies_parts, oracle_path_prefix, reference_parse
+from .oracles import oracle_implies_parts, oracle_path_prefix, reference_canonicalize, reference_parse
 
 # The worked examples: a grantee of (a) reads stampede2 in tacc, (b) has all
 # access to frontera in cyverse, (c) reads and modifies corral in a2cps.
@@ -324,3 +324,16 @@ def test_parse_agrees_with_the_reference_parser(head, pieces, registry):
     else:
         spec = parse_permission(raw, registry)
         assert (spec.parts, spec.path_tail) == expected
+
+
+@given(parse_heads, parse_pieces, parse_registries)
+@example("files:t:r:s:", ["//", "a"], DEFAULT_REGISTRY)  # a raw path that ends in its normal form
+@example("a:b:", ["a", ",", "a"], DEFAULT_REGISTRY)       # a literal written twice
+@settings(max_examples=800, deadline=None)
+def test_canonicalize_agrees_with_the_reference_renderer(head, pieces, registry):
+    raw = head + "".join(pieces)
+    try:
+        spec = parse_permission(raw, registry)
+    except (MalformedPermission, SchemaMismatch, UnknownSchema):
+        return
+    assert canonicalize(spec) == reference_canonicalize(spec)

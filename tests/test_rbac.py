@@ -1,7 +1,9 @@
 import random
+import statistics
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -197,7 +199,7 @@ def test_memory_store_grants_keep_order_and_cost_linear_comparisons():
     store, n = MemoryRbacStore(), 2000
     grants = [f"files:t1:read:s:/p{i}" for i in range(n)]
     for grant in grants + grants:  # the second pass re-adds each grant
-        store.add_permission("t1", "r", CountingStr(grant), "/")
+        store.add_permission("t1", "r", CountingStr(grant), grant + "/")
     for grant in grants[::2] + grants[::2]:  # and removes twice
         store.remove_permission("t1", "r", CountingStr(grant))
     assert store.permissions_of("t1", "r") == grants[1::2]
@@ -380,13 +382,17 @@ written_grants = st.sampled_from([
     "files:t1:read:s1:/a",
     "files:t1:read:s1://a/",
     "files:t1:*:s2:/a/b",
+    "systems:t1:read:s1/",
+    "files:t1:read:s1:/a:b",
+    "files:t1:modify:s2:/",
 ])
 
 checked_permissions = [
     "systems:t1:read:s1", "systems:t1:modify:s2", "systems:t1:exec:s1",
     "systems:t1:read:s2", "files:t1:read:s1", "files:t1:read:s1:/", "files:t1:read:s1:/a",
     "files:t1:read:s1:/a/b", "files:t1:read:s1:/ab", "files:t1:modify:s2:/a/b/c",
-    "files:t1:modify:s2:/a",
+    "files:t1:modify:s2:/a", "systems:t1:read:s1/x", "systems:t1:read:s1/:x",
+    "files:t1:read:s1:/a:b/c", "files:t1:read:s1:/a:bc", "files:t1:modify:s2:/",
 ]
 
 
@@ -406,12 +412,15 @@ def test_writes_to_a_compiled_role_match_a_naive_scan(writes):
             req_spec = parse_permission(required)
             naive = any(implies(parse_permission(g), req_spec) for g in stored)
             assert svc.is_permitted(user, required) == naive, (step, required)
-        # The matcher the writes kept up to date holds each stored grant once,
-        # exactly as one built by parsing the stored grants does.
-        kept = svc._compiled[("t1", "r")]
+        # The role's record holds each stored grant once, exactly as one built
+        # by parsing the stored grants does.
+        kept = svc.store.role_grants("t1", "r")
+        if kept is None:
+            assert stored == []
+            continue
         specs = [(g, parse_permission(g)) for g in stored]
         concrete = [(g, s.path_tail) for g, s in specs if s.is_concrete()]
-        assert kept.exact == {g for g, _ in concrete}
+        assert {g for g, entry in kept.entries.items() if isinstance(entry, str)} == {g for g, _ in concrete}
         assert Counter(kept.prefixes) == Counter(
             g + ":" if tail is None else g if tail == "/" else g + "/" for g, tail in concrete)
         assert Counter(kept.general) == Counter(s for _, s in specs if not s.is_concrete())
@@ -543,6 +552,61 @@ def test_readers_of_a_compiled_role_see_only_a_prefix_of_its_writes():
     assert unexplained == []
 
 
+def test_a_check_that_writes_overlap_answers_from_one_state_of_the_role(monkeypatch):
+    svc = RbacService(MemoryRbacStore())
+    svc.create_role("t1", "r", "admin")
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    other, by_prefix, by_spec = "systems:t1:read:s9", "files:t1:read:s1:/w", "files:t1:read,modify:s1:/w"
+    svc.grant_permission("r", "t1", other)
+    svc.grant_permission("r", "t1", by_spec)
+    # The role implies the probe before, between and after these writes.
+    writes = [(svc.revoke_permission, other), (svc.grant_permission, by_prefix),
+              (svc.revoke_permission, by_spec)]
+
+    class WritesOnFirstComparison(str):
+        """A canonical request that runs the writes at its first prefix comparison,
+        as a writer thread scheduled at that moment would."""
+
+        def startswith(self, prefix):
+            while writes:
+                write, permission = writes.pop(0)
+                write("r", "t1", permission)
+            return str.startswith(self, prefix)
+
+    canonicalize = rbac_module.canonicalize
+    monkeypatch.setattr(rbac_module, "canonicalize", lambda spec: WritesOnFirstComparison(canonicalize(spec)))
+    assert svc.is_permitted(user, "files:t1:read:s1:/w/x")
+    assert writes == []
+
+
+def _peak_bytes_per_grant(held):
+    """Median traced peak of one grant to a checked role that holds ``held`` grants."""
+    svc = RbacService(MemoryRbacStore())
+    svc.create_role("t1", "r", "admin")
+    for i in range(held):
+        svc.grant_permission("r", "t1", f"files:t1:read:s1:/p{i}")
+    user = UserIdentity("u", "t1")
+    svc.grant_role(user, "r", "admin")
+    assert svc.is_permitted(user, "files:t1:read:s1:/p0/x")
+    peaks = []
+    tracemalloc.start()
+    try:
+        for i in range(100):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            svc.grant_permission("r", "t1", f"files:t1:read:s1:/new{i}")
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    return statistics.median(peaks)
+
+
+def test_a_grants_memory_does_not_grow_with_the_role():
+    small, large = _peak_bytes_per_grant(200), _peak_bytes_per_grant(10_000)
+    assert large <= 2 * small, (small, large)
+
+
 @pytest.mark.parametrize("seed", [3, 17])
 def test_is_permitted_matches_closure_scan_on_random_dags(svc, seed):
     """Grants scattered over a random role DAG: the answer equals an OR of
@@ -593,15 +657,16 @@ def test_role_chain_deeper_than_the_recursion_limit(svc):
 
 
 class _SlowStore(MemoryRbacStore):
-    """Widens the gap between a cache fill's store read and its publish."""
+    """Widens the gap between a check's store read and its use: a closure map's
+    fill, or a role's grant record and its scan."""
 
     def edges(self, tenant):
         edges = super().edges(tenant)
         time.sleep(0.0005)
         return edges
 
-    def grants_of(self, tenant, role):
-        grants = super().grants_of(tenant, role)
+    def role_grants(self, tenant, role):
+        grants = super().role_grants(tenant, role)
         time.sleep(0.0005)
         return grants
 
