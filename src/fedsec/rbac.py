@@ -7,13 +7,13 @@ edges. Roles also carry permission strings; ``is_permitted`` asks whether
 any permission attached to any role in the user's effective closure
 implies a concrete request.
 
-Each site keeps its policy in an in-memory store that the federation
-bootstraps from config on every start. The service layer on top handles
-cycle rejection, closure memoization, and per-tenant write serialization,
-so queries never observe a partially applied graph mutation. Each grant
-is parsed once, when it is written. The store keeps one record per role
-that is both its grant list and its matcher: a grant or revoke changes
-the record in place, and a check reads it without taking a lock.
+``RbacService`` holds one site's policy: the federation bootstraps it from
+config on every start. It rejects cycles, memoizes each tenant's role
+closures, and serializes each tenant's writes, so queries never observe a
+partially applied graph mutation. Each grant is parsed once, when it is
+written, into one record per role that is both its grant list and its
+matcher: a grant or revoke changes the record in place, and a check reads
+it without taking a lock.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .permissions import (
     parse_permission,
 )
 
-AUDIT_LIMIT = 10_000  # audit entries a store keeps; older ones are dropped
+AUDIT_LIMIT = 10_000  # audit entries a service keeps; older ones are dropped
 
 # Reserved naming: "$$<username>" is the per-user default role; "$!" marks
 # platform roles created at tenant creation. User-supplied names may use
@@ -128,74 +128,20 @@ class _RoleGrants:
         return any(implies(g, required) for g in self.general)
 
 
-class MemoryRbacStore:
-    """Dict-backed store of one site's roles, edges, assignments and grants."""
+class RbacService:
+    """One site's roles, role edges, assignments and grants, and the decisions over them.
 
-    def __init__(self):
-        self._roles = {}         # (tenant, name) -> (owner, description)
+    Role rows, edges and assignments are keyed by tenant; grant records by
+    ``(tenant, role)``. Writes hold the tenant's lock; checks read without it.
+    """
+
+    def __init__(self, registry: SchemaRegistry = DEFAULT_REGISTRY):
+        self.registry = registry
+        self._roles = {}         # tenant -> {name: (owner, description)}
         self._edges = {}         # tenant -> {parent: set(children)}
         self._assignments = {}   # tenant -> {subject: {role: grantor}}
         self._grants = defaultdict(_RoleGrants)   # (tenant, role) -> _RoleGrants
         self.audit_log = deque(maxlen=AUDIT_LIMIT)
-
-    def get_role(self, tenant, name):
-        return self._roles.get((tenant, name))
-
-    def put_role(self, tenant, name, owner, description):
-        self._roles[(tenant, name)] = (owner, description)
-
-    def delete_role(self, tenant, name):
-        self._roles.pop((tenant, name), None)
-        edges = self._edges.get(tenant, {})
-        edges.pop(name, None)
-        for children in edges.values():
-            children.discard(name)
-        for by_subject in self._assignments.get(tenant, {}).values():
-            by_subject.pop(name, None)
-        self._grants.pop((tenant, name), None)
-
-    def role_names(self, tenant):
-        return [name for (t, name) in self._roles if t == tenant]
-
-    def add_edge(self, tenant, parent, child):
-        self._edges.setdefault(tenant, {}).setdefault(parent, set()).add(child)
-
-    def edges(self, tenant):
-        return {p: set(cs) for p, cs in self._edges.get(tenant, {}).items()}
-
-    def add_assignment(self, tenant, subject, role, grantor):
-        self._assignments.setdefault(tenant, {}).setdefault(subject, {})[role] = grantor
-
-    def remove_assignment(self, tenant, subject, role):
-        self._assignments.get(tenant, {}).get(subject, {}).pop(role, None)
-
-    def assignments_of(self, tenant, subject):
-        return set(self._assignments.get(tenant, {}).get(subject, {}))
-
-    def add_permission(self, tenant, role, permission, entry):
-        self._grants[(tenant, role)].add(permission, entry)
-
-    def remove_permission(self, tenant, role, permission):
-        self._grants[(tenant, role)].remove(permission)
-
-    def permissions_of(self, tenant, role):
-        grants = self._grants.get((tenant, role))
-        return [] if grants is None else list(grants.entries)
-
-    def role_grants(self, tenant, role) -> _RoleGrants | None:
-        """The role's grant record, or None before its first write."""
-        return self._grants.get((tenant, role))
-
-    def audit(self, tenant, action, detail):
-        self.audit_log.append((time.time(), tenant, action, detail))
-
-
-class RbacService:
-    """Role and permission decisions over a pluggable store."""
-
-    def __init__(self, store=None, registry: SchemaRegistry = DEFAULT_REGISTRY):
-        self.store = store if store is not None else MemoryRbacStore()
-        self.registry = registry
         self._tenant_locks = {}
         self._locks_guard = threading.Lock()
         self._closures = {}   # tenant -> {role: frozenset(reachable incl. self)}
@@ -207,8 +153,12 @@ class RbacService:
                 lock = self._tenant_locks[tenant] = threading.RLock()
             return lock
 
-    def _invalidate_graph(self, tenant):
-        self._closures.pop(tenant, None)
+    def _row(self, tenant, name):
+        """The role's (owner, description); UnknownRole when the tenant has no such role."""
+        row = self._roles.get(tenant, {}).get(name)
+        if row is None:
+            raise UnknownRole(f"no role {name!r} in tenant {tenant!r}")
+        return row
 
     # -- authorization helper --
 
@@ -217,8 +167,8 @@ class RbacService:
         if caller is None or caller.kind in ("service", "sk", "bootstrap"):
             return
         if caller.kind == "user" and caller.tenant == tenant:
-            admin = self.store.get_role(tenant, TENANT_ADMIN_ROLE)
-            if admin is not None and self.has_role(UserIdentity(caller.name, tenant), TENANT_ADMIN_ROLE):
+            if (TENANT_ADMIN_ROLE in self._roles.get(tenant, {})
+                    and self.has_role(UserIdentity(caller.name, tenant), TENANT_ADMIN_ROLE)):
                 return
         raise NotAuthorized(f"{caller.subject()} may not administer roles in tenant {tenant!r}")
 
@@ -231,31 +181,35 @@ class RbacService:
             raise RoleExists(f"role name prefix {name[:2]!r} is reserved")
         self._authorize_admin(tenant, caller)
         with self._lock(tenant):
-            existing = self.store.get_role(tenant, name)
+            roles = self._roles.setdefault(tenant, {})
+            existing = roles.get(name)
             if existing is not None:
                 if existing == (owner, description):
                     return self.get_role(tenant, name)
                 raise RoleExists(f"role {name!r} already exists in {tenant!r} with different fields")
-            self.store.put_role(tenant, name, owner, description)
-            self._invalidate_graph(tenant)
+            roles[name] = (owner, description)
+            self._closures.pop(tenant, None)
         return Role(name=name, tenant=tenant, owner=owner, description=description)
 
     def get_role(self, tenant, name) -> Role:
-        row = self.store.get_role(tenant, name)
-        if row is None:
-            raise UnknownRole(f"no role {name!r} in tenant {tenant!r}")
-        owner, description = row
-        children = self.store.edges(tenant).get(name, set())
+        owner, description = self._row(tenant, name)
+        children = set(self._edges.get(tenant, {}).get(name, ()))
         return Role(name=name, tenant=tenant, owner=owner, description=description, children=children)
 
     def delete_role(self, tenant, name, caller=None):
         self._authorize_admin(tenant, caller)
         with self._lock(tenant):
-            if self.store.get_role(tenant, name) is None:
-                raise UnknownRole(f"no role {name!r} in tenant {tenant!r}")
-            self.store.delete_role(tenant, name)
-            self.store.audit(tenant, "delete_role_cascade", name)
-            self._invalidate_graph(tenant)
+            self._row(tenant, name)
+            del self._roles[tenant][name]
+            edges = self._edges.get(tenant, {})
+            edges.pop(name, None)
+            for children in edges.values():
+                children.discard(name)
+            for by_subject in self._assignments.get(tenant, {}).values():
+                by_subject.pop(name, None)
+            self._grants.pop((tenant, name), None)
+            self.audit_log.append((time.time(), tenant, "delete_role_cascade", name))
+            self._closures.pop(tenant, None)
 
     def create_tenant_defaults(self, tenant):
         """Reserved roles every tenant carries from creation."""
@@ -269,25 +223,25 @@ class RbacService:
     def add_child_role(self, tenant, parent, child, caller=None):
         self._authorize_admin(tenant, caller)
         with self._lock(tenant):
-            for name in (parent, child):
-                if self.store.get_role(tenant, name) is None:
-                    raise UnknownRole(f"no role {name!r} in tenant {tenant!r}")
-            if parent in _reach(self.store.edges(tenant), child):
+            self._row(tenant, parent)
+            self._row(tenant, child)
+            edges = self._edges.setdefault(tenant, {})
+            if parent in _reach(edges, child):
                 raise CycleDetected(f"edge {parent!r} -> {child!r} would close a cycle")
-            self.store.add_edge(tenant, parent, child)
-            self._invalidate_graph(tenant)
+            edges.setdefault(parent, set()).add(child)
+            self._closures.pop(tenant, None)
 
     def _closure_map(self, tenant):
         """Each role's reach, built on a miss under the tenant lock, which each write
-        holds from its store change to its invalidation: no map predates a finished write."""
+        holds from its change to its invalidation: no map predates a finished write."""
         closures = self._closures.get(tenant)
         if closures is None:
             with self._lock(tenant):
                 closures = self._closures.get(tenant)
                 if closures is None:
-                    edges = self.store.edges(tenant)
+                    edges = self._edges.get(tenant, {})
                     closures = self._closures[tenant] = {
-                        role: _reach(edges, role) for role in self.store.role_names(tenant)}
+                        role: _reach(edges, role) for role in self._roles.get(tenant, ())}
         return closures
 
     # -- assignments --
@@ -295,33 +249,29 @@ class RbacService:
     def ensure_default_role(self, user: UserIdentity) -> Role:
         name = default_role_name(user.username)
         with self._lock(user.tenant):
-            if self.store.get_role(user.tenant, name) is None:
-                self.store.put_role(user.tenant, name, user.username, "default role")
-                self._invalidate_graph(user.tenant)
-            self.store.add_assignment(user.tenant, user.username, name, "system")
+            roles = self._roles.setdefault(user.tenant, {})
+            if name not in roles:
+                roles[name] = (user.username, "default role")
+                self._closures.pop(user.tenant, None)
+            self._assignments.setdefault(user.tenant, {}).setdefault(user.username, {})[name] = "system"
         return self.get_role(user.tenant, name)
 
     def grant_role(self, user: UserIdentity, role_name, grantor, caller=None):
         self._authorize_admin(user.tenant, caller)
-        with self._lock(user.tenant):
-            if self.store.get_role(user.tenant, role_name) is None:
-                raise UnknownRole(f"no role {role_name!r} in tenant {user.tenant!r}")
-            self.store.add_assignment(user.tenant, user.username, role_name, grantor)
+        self.grant_role_to_subject(user.tenant, user.username, role_name, grantor)
 
     def grant_role_to_subject(self, tenant, subject, role_name, grantor):
         """Assignment keyed by an arbitrary subject string (service principals
         are granted tenant roles under their qualified name@tenant form)."""
         with self._lock(tenant):
-            if self.store.get_role(tenant, role_name) is None:
-                raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
-            self.store.add_assignment(tenant, subject, role_name, grantor)
+            self._row(tenant, role_name)
+            self._assignments.setdefault(tenant, {}).setdefault(subject, {})[role_name] = grantor
 
     def revoke_role(self, user: UserIdentity, role_name, caller=None):
         self._authorize_admin(user.tenant, caller)
         with self._lock(user.tenant):
-            if self.store.get_role(user.tenant, role_name) is None:
-                raise UnknownRole(f"no role {role_name!r} in tenant {user.tenant!r}")
-            self.store.remove_assignment(user.tenant, user.username, role_name)
+            self._row(user.tenant, role_name)
+            self._assignments.get(user.tenant, {}).get(user.username, {}).pop(role_name, None)
 
     # -- queries --
 
@@ -329,16 +279,15 @@ class RbacService:
         return self.subject_has_role(user.tenant, user.username, role_name)
 
     def subject_has_role(self, tenant, subject, role_name) -> bool:
-        if self.store.get_role(tenant, role_name) is None:
-            raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
-        direct = self.store.assignments_of(tenant, subject)
+        self._row(tenant, role_name)
+        direct = set(self._assignments.get(tenant, {}).get(subject, ()))
         if role_name in direct:
             return True
         closures = self._closure_map(tenant)
         return any(role_name in closures.get(r, ()) for r in direct)
 
     def effective_roles(self, tenant, subject) -> frozenset:
-        direct = self.store.assignments_of(tenant, subject)
+        direct = set(self._assignments.get(tenant, {}).get(subject, ()))
         closures = self._closure_map(tenant)
         out = set()
         for r in direct:
@@ -358,12 +307,16 @@ class RbacService:
         spec = parse_permission(permission, self.registry)
         canon = canonicalize(spec)
         with self._lock(tenant):
-            if self.store.get_role(tenant, role_name) is None:
-                raise UnknownRole(f"no role {role_name!r} in tenant {tenant!r}")
+            self._row(tenant, role_name)
+            key = (tenant, role_name)
             if granted:
-                self.store.add_permission(tenant, role_name, canon, _matcher_entry(spec, canon))
-            else:
-                self.store.remove_permission(tenant, role_name, canon)
+                self._grants[key].add(canon, _matcher_entry(spec, canon))
+            elif key in self._grants:  # a revoke never creates an empty record
+                self._grants[key].remove(canon)
+
+    def role_grants(self, tenant, role) -> _RoleGrants | None:
+        """The role's grant record, or None before its first grant."""
+        return self._grants.get((tenant, role))
 
     def is_permitted(self, user: UserIdentity, required_permission: str) -> bool:
         return self.subject_is_permitted(user.tenant, user.username, required_permission)
@@ -374,7 +327,7 @@ class RbacService:
             raise MalformedPermission(f"required permission must be concrete: {required_permission!r}")
         canonical = canonicalize(required)
         for role in self.effective_roles(tenant, subject):
-            grants = self.store.role_grants(tenant, role)
+            grants = self.role_grants(tenant, role)
             if grants is None:
                 continue
             # A True read without the lock saw a grant the role held. A False read

@@ -31,7 +31,7 @@ from .router import RouteKind, forward, route
 from .secrets import SecretCategory, SecretPath, SecretValue
 from .sharing import ShareGrant
 from .wire import (BadRequestBody, FramingError, Request, Response, b64, content_length,
-                   encode_response, fail, ok, read_headers, read_line, unsafe_target)
+                   encode_response, fail, ok, read_headers, read_line, seconds, unsafe_target)
 
 
 def rejection_response(verdict) -> Response:
@@ -274,7 +274,7 @@ class TokensApp(ServiceApp):
         ("POST", "/v3/tokens/refresh", "open", "refresh"),
     )
 
-    def issue_user(self, req, verdict, tenant: str, username: str, ttl: float = None):
+    def issue_user(self, req, verdict, tenant: str, username: str, ttl: seconds = None):
         token = self.rt.forge.issue_user_token(caller_from(verdict), tenant, username, ttl=ttl)
         return ok({"accessToken": token}, message="token issued", status=201)
 

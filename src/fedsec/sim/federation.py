@@ -40,7 +40,7 @@ from urllib.parse import quote, urlencode
 from ..errors import StartupError, TopologyInvalid
 from ..gatekeeper import OBO_TENANT_HEADER, OBO_USER_HEADER, TOKEN_HEADER
 from ..identity import BOOTSTRAP, Caller
-from ..rbac import TOKEN_GENERATOR_ROLE, TENANT_ADMIN_ROLE, MemoryRbacStore, RbacService
+from ..rbac import TOKEN_GENERATOR_ROLE, TENANT_ADMIN_ROLE, RbacService
 from ..registry import CachedRegistryView, Registry, RegistrySnapshot, TenantRecord
 from ..router import extract_service
 from ..secrets import MemoryKvBackend, SecretCategory, SecretPath, SecretsService
@@ -390,7 +390,7 @@ class Federation:
         site_id = site.site_id
         secrets = self.secrets[site_id]
         registry = self.registry if site.is_primary else self._associate_registry_view()
-        rbac = RbacService(MemoryRbacStore(), registry=self.topo.schema_registry)
+        rbac = RbacService(registry=self.topo.schema_registry)
         sharing = SharingService()
         key_cache = self._tokens_startup(site, secrets)
         forge = TokenForge(

@@ -15,11 +15,13 @@ from __future__ import annotations
 import base64
 import heapq
 import json
+import math
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
@@ -77,6 +79,8 @@ class TokenClaims:
             raise MalformedToken("target_site is present exactly on service tokens")
         if not self.sub.endswith("@" + self.tenant_id):
             raise MalformedToken("sub tenant suffix must equal tenant_id")
+        if not (math.isfinite(self.iat) and math.isfinite(self.exp)):
+            raise MalformedToken("iat and exp must be finite")
         if self.exp <= self.iat:
             raise MalformedToken("exp must be after iat")
 
@@ -125,26 +129,20 @@ def _unb64url(text: str) -> bytes:
     return base64.urlsafe_b64decode(text + "=" * (-len(text) % 4))
 
 
+VERIFIED_LIMIT = 1024  # tokens whose verified claims ``verify`` keeps
+KEY_CACHE_LIMIT = 256  # parsed key objects each of the two key caches keeps
+
+
 # PEM parsing re-validates RSA key material and costs tens of milliseconds;
-# key objects are immutable, so cache them by PEM text.
-_private_key_cache = {}
-_public_key_cache = {}
-
-
+# key objects are immutable, so cache the most recently used ones by PEM text.
+@lru_cache(maxsize=KEY_CACHE_LIMIT)
 def _private_key_obj(private_pem: str):
-    key = _private_key_cache.get(private_pem)
-    if key is None:
-        key = serialization.load_pem_private_key(private_pem.encode(), password=None)
-        _private_key_cache[private_pem] = key
-    return key
+    return serialization.load_pem_private_key(private_pem.encode(), password=None)
 
 
+@lru_cache(maxsize=KEY_CACHE_LIMIT)
 def _public_key_obj(public_pem: str):
-    key = _public_key_cache.get(public_pem)
-    if key is None:
-        key = serialization.load_pem_public_key(public_pem.encode())
-        _public_key_cache[public_pem] = key
-    return key
+    return serialization.load_pem_public_key(public_pem.encode())
 
 
 def encode_token(claims: TokenClaims, private_pem: str) -> str:
@@ -167,9 +165,6 @@ def peek_claims(token: str) -> TokenClaims:
     except Exception as exc:
         raise MalformedToken(f"undecodable payload: {exc}") from exc
     return TokenClaims.from_payload(payload)
-
-
-VERIFIED_LIMIT = 1024  # tokens whose verified claims ``verify`` keeps
 
 
 class _VerifiedTokens:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from http import HTTPStatus
@@ -116,6 +117,19 @@ def encode_response(status: int, headers: dict, body: bytes) -> bytes:
 def b64(text) -> bytes:
     """Field converter: base64 text to bytes, rejecting non-alphabet characters."""
     return base64.b64decode(text, validate=True)
+
+
+def seconds(value) -> float:
+    """Field converter: a JSON number of seconds, finite and greater than 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("must be a number of seconds")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("must be a finite number of seconds greater than 0")
+    return value
 
 
 @dataclass

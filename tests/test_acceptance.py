@@ -20,7 +20,7 @@ from fedsec.errors import (
 )
 from fedsec.identity import BOOTSTRAP, Caller, UserIdentity
 from fedsec.permissions import WILDCARD, PermissionSpec, implies, implies_str
-from fedsec.rbac import MemoryRbacStore, RbacService
+from fedsec.rbac import RbacService
 from fedsec.registry import Registry
 from fedsec.secrets import MemoryKvBackend, SecretCategory, SecretPath, SecretsService, SecretValue
 from fedsec.sharing import ShareGrant, SharingService
@@ -112,7 +112,7 @@ def test_acceptance_2_worked_examples():
 
 def test_acceptance_3_role_dag():
     rng = random.Random(42)
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     for graph_index in range(1000):
         tenant = f"dag{graph_index}"
         n_roles = rng.randint(2, 50)
@@ -138,7 +138,7 @@ def test_acceptance_3_role_dag():
 
     # Adversarial cycle attempts: close a random existing path.
     rejected = 0
-    svc2 = RbacService(MemoryRbacStore())
+    svc2 = RbacService()
     tenant = "cycles"
     chain = [f"c{i}" for i in range(50)]
     for r in chain:
@@ -369,7 +369,7 @@ def test_acceptance_9_hop_penalty():
 def test_acceptance_10_isolation_probes():
     rng = random.Random(99)
     tenants = [f"iso{i}" for i in range(4)]
-    rbac = RbacService(MemoryRbacStore())
+    rbac = RbacService()
     secrets = SecretsService(site_id="prime", admin_tenant="admin.iso")
     sharing = SharingService()
 

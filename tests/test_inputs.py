@@ -9,6 +9,7 @@ generated values there.
 
 import base64
 import json
+from http.client import HTTPConnection
 from urllib.parse import quote, urlencode
 
 import pytest
@@ -80,6 +81,27 @@ def test_client_mistake_answers_400_naming_the_field(fed, identities, who, metho
     body = r.json()
     assert body["result"]["code"] == "BAD_REQUEST"
     assert repr(field) in body["message"]
+
+
+# Raw JSON for a user token's ttl: each would mint a token that never expires, or
+# expires before it is issued. 10**400 overflows a float.
+BAD_TTLS = ["NaN", "Infinity", "-Infinity", "1e999", '"inf"', '"60"', "0", "-60", "true",
+            "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("ttl", BAD_TTLS, ids=lambda ttl: ttl[:8])
+def test_a_token_ttl_that_is_not_a_finite_positive_number_answers_400(fed, identities, ttl):
+    body = f'{{"tenant": "tenant1", "username": "bob", "ttl": {ttl}}}'.encode()
+    connection = HTTPConnection("127.0.0.1", fed.ports["prime"], timeout=10)
+    try:
+        connection.request("POST", "/v3/tokens", body, {"Host": "tenant1.sim", **identities["root"]})
+        response = connection.getresponse()
+        status, doc = response.status, json.loads(response.read())
+    finally:
+        connection.close()
+    assert status == 400, doc
+    assert doc["result"]["code"] == "BAD_REQUEST"
+    assert "'ttl'" in doc["message"]
 
 
 # (service, method, route pattern) -> (identity, path groups, valid query or body)

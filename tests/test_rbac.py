@@ -16,7 +16,6 @@ from fedsec.identity import Caller, UserIdentity
 from fedsec.permissions import DEFAULT_REGISTRY, implies, parse_permission
 from fedsec.rbac import (
     TENANT_ADMIN_ROLE,
-    MemoryRbacStore,
     RbacService,
     default_role_name,
 )
@@ -27,7 +26,13 @@ from .oracles import oracle_has_cycle, oracle_reachable
 # One param, so each test keeps its "[memory]" id.
 @pytest.fixture(params=["memory"])
 def svc(request):
-    return RbacService(MemoryRbacStore())
+    return RbacService()
+
+
+def _held(svc, tenant, role):
+    """The role's grants in grant order, as its record lists them."""
+    grants = svc.role_grants(tenant, role)
+    return [] if grants is None else list(grants.entries)
 
 
 def test_create_role_happy_path(svc):
@@ -40,7 +45,7 @@ def test_create_role_idempotent(svc):
     svc.create_role("tacc", "r1", "admin", "d")
     again = svc.create_role("tacc", "r1", "admin", "d")
     assert again.name == "r1"
-    assert svc.store.role_names("tacc").count("r1") == 1
+    assert list(svc._roles["tacc"]) == ["r1"]
 
 
 def test_create_role_conflicting_fields(svc):
@@ -134,7 +139,7 @@ def test_default_role(svc):
     assert role.name == default_role_name("bob") == "$$bob"
     assert svc.has_role(bob, "$$bob") is True
     svc.ensure_default_role(bob)
-    assert svc.store.role_names("tenant1").count("$$bob") == 1
+    assert list(svc._roles["tenant1"]) == ["$$bob"]
 
 
 def test_default_roles_tenant_scoped(svc):
@@ -142,8 +147,8 @@ def test_default_roles_tenant_scoped(svc):
     svc.ensure_default_role(UserIdentity("bob", "t2"))
     assert svc.has_role(UserIdentity("bob", "t1"), "$$bob")
     assert svc.has_role(UserIdentity("bob", "t2"), "$$bob")
-    assert "$$bob" in svc.store.role_names("t1")
-    assert "$$bob" in svc.store.role_names("t2")
+    assert "$$bob" in svc._roles["t1"]
+    assert "$$bob" in svc._roles["t2"]
 
 
 def test_has_role_unknown(svc):
@@ -154,7 +159,7 @@ def test_has_role_unknown(svc):
 def test_grant_permission_stored_canonically(svc):
     svc.create_role("a2cps", "r", "admin")
     svc.grant_permission("r", "a2cps", "systems:a2cps:read,modify:corral")
-    assert svc.store.permissions_of("a2cps", "r") == ["systems:a2cps:modify,read:corral"]
+    assert _held(svc, "a2cps", "r") == ["systems:a2cps:modify,read:corral"]
 
 
 def test_grant_malformed_permission(svc):
@@ -166,7 +171,8 @@ def test_grant_malformed_permission(svc):
 def test_revoke_unattached_permission_is_noop(svc):
     svc.create_role("t1", "r", "admin")
     svc.revoke_permission("r", "t1", "systems:t1:read:s")
-    assert svc.store.permissions_of("t1", "r") == []
+    assert _held(svc, "t1", "r") == []
+    assert svc.role_grants("t1", "r") is None  # the revoke created no empty record
 
 
 def test_a_grant_for_another_schema_answers_false(svc):
@@ -186,7 +192,7 @@ def test_a_wildcard_schema_grant_naming_a_path_covers_it_in_files(svc):
     assert svc.is_permitted(user, "files:t1:read:s1:/ab") is False
 
 
-def test_memory_store_grants_keep_order_and_cost_linear_comparisons():
+def test_a_roles_grants_keep_order_and_cost_linear_comparisons():
     compared = [0]
 
     class CountingStr(str):
@@ -196,13 +202,13 @@ def test_memory_store_grants_keep_order_and_cost_linear_comparisons():
             compared[0] += 1
             return str.__eq__(self, other)
 
-    store, n = MemoryRbacStore(), 2000
+    record, n = rbac_module._RoleGrants(), 2000
     grants = [f"files:t1:read:s:/p{i}" for i in range(n)]
     for grant in grants + grants:  # the second pass re-adds each grant
-        store.add_permission("t1", "r", CountingStr(grant), grant + "/")
+        record.add(CountingStr(grant), grant + "/")
     for grant in grants[::2] + grants[::2]:  # and removes twice
-        store.remove_permission("t1", "r", CountingStr(grant))
-    assert store.permissions_of("t1", "r") == grants[1::2]
+        record.remove(CountingStr(grant))
+    assert list(record.entries) == grants[1::2]
     # A list membership test compares each add with every stored grant:
     # about n * n / 2 comparisons, against at most one per call here.
     assert compared[0] <= 3 * n
@@ -258,8 +264,8 @@ def test_cross_tenant_isolation(svc):
     user_b = UserIdentity("bob", "tenant_b")
     with pytest.raises(UnknownRole):
         svc.has_role(user_b, "secret_role")
-    assert "secret_role" not in svc.store.role_names("tenant_b")
-    assert svc.store.assignments_of("tenant_b", "bob") == set()
+    assert "secret_role" not in svc._roles.get("tenant_b", {})
+    assert svc._assignments.get("tenant_b", {}).get("bob", {}) == {}
 
 
 def test_delete_role_cascades_with_audit(svc):
@@ -271,8 +277,8 @@ def test_delete_role_cascades_with_audit(svc):
     svc.delete_role("t1", "a")
     with pytest.raises(UnknownRole):
         svc.has_role(u, "a")
-    assert svc.store.assignments_of("t1", "u") == set()
-    assert any(entry[2] == "delete_role_cascade" for entry in svc.store.audit_log)
+    assert svc._assignments["t1"]["u"] == {}
+    assert any(entry[2] == "delete_role_cascade" for entry in svc.audit_log)
 
 
 def _random_dag(rng, n_roles, n_edges):
@@ -320,7 +326,7 @@ def test_no_mutation_sequence_creates_cycle(svc):
             svc.add_child_role(tenant, a, b)
         except CycleDetected:
             pass
-        assert not oracle_has_cycle(svc.store.edges(tenant))
+        assert not oracle_has_cycle(svc._edges.get(tenant, {}))
 
 
 perm_strings = st.one_of(
@@ -356,7 +362,7 @@ required_strings = st.one_of(
 @given(st.lists(perm_strings, min_size=0, max_size=8), required_strings)
 @settings(max_examples=300, deadline=None)
 def test_is_permitted_matches_naive_scan(grants, required):
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     svc.create_role("t1", "r", "admin")
     for g in grants:
         svc.grant_permission("r", "t1", g)
@@ -407,14 +413,14 @@ def test_writes_to_a_compiled_role_match_a_naive_scan(writes):
         if granted is not None:
             write = svc.grant_permission if granted else svc.revoke_permission
             write("r", "t1", permission)
-        stored = svc.store.permissions_of("t1", "r")
+        stored = _held(svc, "t1", "r")
         for required in checked_permissions:
             req_spec = parse_permission(required)
             naive = any(implies(parse_permission(g), req_spec) for g in stored)
             assert svc.is_permitted(user, required) == naive, (step, required)
         # The role's record holds each stored grant once, exactly as one built
         # by parsing the stored grants does.
-        kept = svc.store.role_grants("t1", "r")
+        kept = svc.role_grants("t1", "r")
         if kept is None:
             assert stored == []
             continue
@@ -427,7 +433,7 @@ def test_writes_to_a_compiled_role_match_a_naive_scan(writes):
 
 
 def test_a_write_to_a_compiled_role_parses_only_the_written_grant(monkeypatch):
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     svc.create_role("t1", "r", "admin")
     for i in range(2000):
         svc.grant_permission("r", "t1", f"files:t1:read:s1:/p{i}")
@@ -447,7 +453,7 @@ def test_a_write_to_a_compiled_role_parses_only_the_written_grant(monkeypatch):
 
 
 def test_a_roles_first_check_parses_only_the_request(monkeypatch):
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     svc.create_role("t1", "r", "admin")
     kinds = [lambda i: f"files:t1:read:s1:/p{i}", lambda i: f"systems:t1:read:s{i}",
              lambda i: f"files:t1:read,modify:s2:/q{i}", lambda i: f"systems:t1:*:w{i}"]
@@ -479,18 +485,18 @@ def test_a_roles_first_check_parses_only_the_request(monkeypatch):
 
 def test_the_audit_log_keeps_only_the_most_recent_entries(monkeypatch):
     monkeypatch.setattr(rbac_module, "AUDIT_LIMIT", 3)
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     names = [f"r{i}" for i in range(5)]
     for name in names:
         svc.create_role("t1", name, "admin")
     for name in names:
         svc.delete_role("t1", name)
-    assert [entry[1:] for entry in svc.store.audit_log] == [
+    assert [entry[1:] for entry in svc.audit_log] == [
         ("t1", "delete_role_cascade", name) for name in names[-3:]]
 
 
 def test_readers_of_a_compiled_role_see_only_a_prefix_of_its_writes():
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     svc.create_role("t1", "r", "admin")
     for i in range(500):
         svc.grant_permission("r", "t1", f"files:t1:read:s1:/bulk/{i}")
@@ -553,7 +559,7 @@ def test_readers_of_a_compiled_role_see_only_a_prefix_of_its_writes():
 
 
 def test_a_check_that_writes_overlap_answers_from_one_state_of_the_role(monkeypatch):
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     svc.create_role("t1", "r", "admin")
     user = UserIdentity("u", "t1")
     svc.grant_role(user, "r", "admin")
@@ -582,7 +588,7 @@ def test_a_check_that_writes_overlap_answers_from_one_state_of_the_role(monkeypa
 
 def _peak_bytes_per_grant(held):
     """Median traced peak of one grant to a checked role that holds ``held`` grants."""
-    svc = RbacService(MemoryRbacStore())
+    svc = RbacService()
     svc.create_role("t1", "r", "admin")
     for i in range(held):
         svc.grant_permission("r", "t1", f"files:t1:read:s1:/p{i}")
@@ -656,14 +662,8 @@ def test_role_chain_deeper_than_the_recursion_limit(svc):
         svc.add_child_role("tacc", names[-1], names[0])
 
 
-class _SlowStore(MemoryRbacStore):
-    """Widens the gap between a check's store read and its use: a closure map's
-    fill, or a role's grant record and its scan."""
-
-    def edges(self, tenant):
-        edges = super().edges(tenant)
-        time.sleep(0.0005)
-        return edges
+class _SlowService(RbacService):
+    """Widens the gap between a check's read of a role's grant record and its scan."""
 
     def role_grants(self, tenant, role):
         grants = super().role_grants(tenant, role)
@@ -671,8 +671,16 @@ class _SlowStore(MemoryRbacStore):
         return grants
 
 
-def test_caches_never_serve_a_decision_a_finished_write_made_stale():
-    svc = RbacService(_SlowStore())
+def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
+    reach = rbac_module._reach
+
+    def slow_reach(edges, start):  # widens the gap between a closure map's fill and its use
+        closure = reach(edges, start)
+        time.sleep(0.0005)
+        return closure
+
+    monkeypatch.setattr(rbac_module, "_reach", slow_reach)
+    svc = _SlowService()
     svc.create_role("tacc", "shared", "admin")
     user = UserIdentity("u", "tacc")
     svc.grant_role(user, "shared", "admin")

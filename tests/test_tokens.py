@@ -1,5 +1,7 @@
+import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,20 @@ def test_claim_invariants_enforced():
                     exp=1.0, iat=2.0)  # exp before iat
 
 
+@pytest.mark.parametrize("iat, exp", [(1.0, math.inf), (1.0, math.nan), (-math.inf, 2.0),
+                                      (math.nan, 2.0)])
+def test_a_non_finite_iat_or_exp_is_malformed(site, iat, exp):
+    with pytest.raises(MalformedToken):
+        TokenClaims(jti="x", sub="u@t", tenant_id="t", account_type="user", exp=exp, iat=iat)
+    # Signed anyway, such a token never verifies, however late the clock.
+    _, registry, keys, _ = site
+    payload = {"jti": "x", "sub": "bob@tenant1", "tenant_id": "tenant1", "account_type": "user",
+               "iat": iat, "exp": exp}
+    token = encode_token(SimpleNamespace(to_payload=lambda: payload), keys["tenant1"][0])
+    with pytest.raises(MalformedToken):
+        verify(token, registry, clock=lambda: 1e300)
+
+
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=8)
 
 
@@ -427,6 +443,13 @@ def test_the_cache_never_exceeds_its_bound(site, monkeypatch):
     verify(issued[0], registry, clock=lambda: now[0])
     assert cache.get(issued[6]) is not None and cache.get(issued[7]) is None
     assert len(cache) == 4
+
+
+def test_the_key_caches_are_bounded_and_reuse_a_parsed_key(keypool):
+    private_pem, public_pem = keypool[0]
+    for cached, pem in ((tokens._private_key_obj, private_pem), (tokens._public_key_obj, public_pem)):
+        assert cached.cache_info().maxsize == tokens.KEY_CACHE_LIMIT
+        assert cached(pem) is cached(pem)
 
 
 def test_a_replayed_refresh_token_is_reused_even_when_its_verify_is_cached(site, verified):
