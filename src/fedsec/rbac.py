@@ -8,12 +8,12 @@ any permission attached to any role in the user's effective closure
 implies a concrete request.
 
 ``RbacService`` holds one site's policy: the federation bootstraps it from
-config on every start. It rejects cycles, memoizes each tenant's role
-closures, and serializes each tenant's writes, so queries never observe a
-partially applied graph mutation. Each grant is parsed once, when it is
-written, into one record per role that is both its grant list and its
-matcher: a grant or revoke changes the record in place, and a check reads
-it without taking a lock.
+config on every start. It rejects cycles and memoizes each tenant's role
+closures. Every read and every write of a tenant's policy holds that
+tenant's lock, so a query sees each write whole or not at all, and never a
+decision that a finished write has made stale. Each grant is parsed once,
+when it is written, into one record per role that is both its grant list
+and its matcher: a grant or revoke changes the record in place.
 """
 
 from __future__ import annotations
@@ -86,39 +86,25 @@ class _RoleGrants:
     A concrete grant g implies a concrete canonical request r exactly when
     r == g or r starts with g's extension prefix, and r can equal only a
     concrete grant's canonical form. Grants carrying wildcards or comma sets
-    fall back to the general matcher. Writes hold the tenant lock; checks
-    read without it. A revoke swaps in a filtered copy of ``prefixes``,
-    because a ``list.remove`` under a reader's scan can make it skip another
-    prefix. ``version`` counts finished writes.
+    fall back to the general matcher. Reads and writes hold the tenant lock.
     """
 
-    __slots__ = ("entries", "prefixes", "general", "version")
+    __slots__ = ("entries", "prefixes", "general")
 
     def __init__(self):
         self.entries = {}    # canonical grant -> extension prefix or spec, insertion-ordered
         self.prefixes = []   # the extension prefix of each concrete grant
-        self.general = ()    # the spec of each wildcard or comma-set grant
-        self.version = 0
+        self.general = []    # the spec of each wildcard or comma-set grant
 
     def add(self, canon: str, entry):
-        if canon in self.entries:
-            return
-        self.entries[canon] = entry
-        if isinstance(entry, str):
-            self.prefixes.append(entry)
-        else:
-            self.general += (entry,)
-        self.version += 1
+        if canon not in self.entries:
+            self.entries[canon] = entry
+            (self.prefixes if isinstance(entry, str) else self.general).append(entry)
 
     def remove(self, canon: str):
         entry = self.entries.pop(canon, None)
-        if entry is None:
-            return
-        if isinstance(entry, str):
-            self.prefixes = [p for p in self.prefixes if p is not entry]
-        else:
-            self.general = tuple(g for g in self.general if g is not entry)
-        self.version += 1
+        if entry is not None:
+            (self.prefixes if isinstance(entry, str) else self.general).remove(entry)
 
     def permits(self, canonical_required: str, required: PermissionSpec) -> bool:
         if canonical_required in self.entries:
@@ -132,7 +118,7 @@ class RbacService:
     """One site's roles, role edges, assignments and grants, and the decisions over them.
 
     Role rows, edges and assignments are keyed by tenant; grant records by
-    ``(tenant, role)``. Writes hold the tenant's lock; checks read without it.
+    ``(tenant, role)``. Every read and write holds the tenant's lock.
     """
 
     def __init__(self, registry: SchemaRegistry = DEFAULT_REGISTRY):
@@ -147,11 +133,11 @@ class RbacService:
         self._closures = {}   # tenant -> {role: frozenset(reachable incl. self)}
 
     def _lock(self, tenant) -> threading.RLock:
-        with self._locks_guard:
-            lock = self._tenant_locks.get(tenant)
-            if lock is None:
-                lock = self._tenant_locks[tenant] = threading.RLock()
-            return lock
+        lock = self._tenant_locks.get(tenant)
+        if lock is None:
+            with self._locks_guard:
+                lock = self._tenant_locks.setdefault(tenant, threading.RLock())
+        return lock
 
     def _row(self, tenant, name):
         """The role's (owner, description); UnknownRole when the tenant has no such role."""
@@ -167,9 +153,10 @@ class RbacService:
         if caller is None or caller.kind in ("service", "sk", "bootstrap"):
             return
         if caller.kind == "user" and caller.tenant == tenant:
-            if (TENANT_ADMIN_ROLE in self._roles.get(tenant, {})
-                    and self.has_role(UserIdentity(caller.name, tenant), TENANT_ADMIN_ROLE)):
-                return
+            with self._lock(tenant):
+                if (TENANT_ADMIN_ROLE in self._roles.get(tenant, {})
+                        and self.has_role(UserIdentity(caller.name, tenant), TENANT_ADMIN_ROLE)):
+                    return
         raise NotAuthorized(f"{caller.subject()} may not administer roles in tenant {tenant!r}")
 
     # -- role CRUD --
@@ -192,8 +179,9 @@ class RbacService:
         return Role(name=name, tenant=tenant, owner=owner, description=description)
 
     def get_role(self, tenant, name) -> Role:
-        owner, description = self._row(tenant, name)
-        children = set(self._edges.get(tenant, {}).get(name, ()))
+        with self._lock(tenant):
+            owner, description = self._row(tenant, name)
+            children = set(self._edges.get(tenant, {}).get(name, ()))
         return Role(name=name, tenant=tenant, owner=owner, description=description, children=children)
 
     def delete_role(self, tenant, name, caller=None):
@@ -232,16 +220,12 @@ class RbacService:
             self._closures.pop(tenant, None)
 
     def _closure_map(self, tenant):
-        """Each role's reach, built on a miss under the tenant lock, which each write
-        holds from its change to its invalidation: no map predates a finished write."""
+        """Each role's reach, built on a miss; the caller holds the tenant lock."""
         closures = self._closures.get(tenant)
         if closures is None:
-            with self._lock(tenant):
-                closures = self._closures.get(tenant)
-                if closures is None:
-                    edges = self._edges.get(tenant, {})
-                    closures = self._closures[tenant] = {
-                        role: _reach(edges, role) for role in self._roles.get(tenant, ())}
+            edges = self._edges.get(tenant, {})
+            closures = self._closures[tenant] = {
+                role: _reach(edges, role) for role in self._roles.get(tenant, ())}
         return closures
 
     # -- assignments --
@@ -279,19 +263,20 @@ class RbacService:
         return self.subject_has_role(user.tenant, user.username, role_name)
 
     def subject_has_role(self, tenant, subject, role_name) -> bool:
-        self._row(tenant, role_name)
-        direct = set(self._assignments.get(tenant, {}).get(subject, ()))
-        if role_name in direct:
-            return True
-        closures = self._closure_map(tenant)
-        return any(role_name in closures.get(r, ()) for r in direct)
+        with self._lock(tenant):
+            self._row(tenant, role_name)
+            direct = self._assignments.get(tenant, {}).get(subject, {})
+            if role_name in direct:
+                return True
+            closures = self._closure_map(tenant)
+            return any(role_name in closures.get(r, ()) for r in direct)
 
     def effective_roles(self, tenant, subject) -> frozenset:
-        direct = set(self._assignments.get(tenant, {}).get(subject, ()))
-        closures = self._closure_map(tenant)
-        out = set()
-        for r in direct:
-            out |= closures.get(r, frozenset({r}))
+        with self._lock(tenant):
+            closures = self._closure_map(tenant)
+            out = set()
+            for r in self._assignments.get(tenant, {}).get(subject, ()):
+                out |= closures.get(r, frozenset({r}))
         return frozenset(out)
 
     # -- permissions --
@@ -315,7 +300,8 @@ class RbacService:
                 self._grants[key].remove(canon)
 
     def role_grants(self, tenant, role) -> _RoleGrants | None:
-        """The role's grant record, or None before its first grant."""
+        """The role's grant record, or None before its first grant; the caller holds the
+        tenant lock while it reads the record."""
         return self._grants.get((tenant, role))
 
     def is_permitted(self, user: UserIdentity, required_permission: str) -> bool:
@@ -326,18 +312,9 @@ class RbacService:
         if not required.is_concrete():
             raise MalformedPermission(f"required permission must be concrete: {required_permission!r}")
         canonical = canonicalize(required)
-        for role in self.effective_roles(tenant, subject):
-            grants = self.role_grants(tenant, role)
-            if grants is None:
-                continue
-            # A True read without the lock saw a grant the role held. A False read
-            # during which a write to the role finished may mix parts of the role
-            # from before and after several writes, so it is read again under the lock.
-            version = grants.version
-            if grants.permits(canonical, required):
-                return True
-            if grants.version != version:
-                with self._lock(tenant):
-                    if grants.permits(canonical, required):
-                        return True
+        with self._lock(tenant):
+            for role in self.effective_roles(tenant, subject):
+                grants = self.role_grants(tenant, role)
+                if grants is not None and grants.permits(canonical, required):
+                    return True
         return False

@@ -36,6 +36,13 @@ SAC_GRANTOR_HEADER = "X-Tapis-Sac-Grantor"
 SAC_APP_HEADER = "X-Tapis-Sac-App"
 
 
+def share_privilege(value) -> str:
+    """Field converter: one of ``PRIVILEGES``, as a request names it."""
+    if value not in PRIVILEGES:
+        raise ValueError(f"must be one of {', '.join(PRIVILEGES)}")
+    return value
+
+
 @dataclass(frozen=True)
 class ShareGrant:
     tenant: str

@@ -22,7 +22,7 @@ from ..gatekeeper import TOKEN_HEADER
 from ..identity import Caller
 from ..secrets import SecretCategory, SecretPath, SecretValue
 from ..service import ServiceApp, rejection_response
-from ..sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER, AccessOutcome, SacDescriptor
+from ..sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER, AccessOutcome, SacDescriptor, share_privilege
 from ..wire import Response, b64, fail, ok
 
 TEMPLATE_REQUESTER = "${requester}"
@@ -117,7 +117,7 @@ class SystemsApp(_StubApp):
 
     # -- retrieval with SAC participation --
 
-    def get_system(self, req, verdict, sys_id, privilege: str = "READ"):
+    def get_system(self, req, verdict, sys_id, privilege: share_privilege = "READ"):
         user = verdict.effective_user
         definition = self.defs.get((user.tenant, sys_id))
         if definition is None:

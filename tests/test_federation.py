@@ -86,6 +86,29 @@ def test_walkthrough_both_unauthorized_aborts(walkthrough_fed):
     assert _entries(result, "sac-denied")
 
 
+def test_a_system_read_names_a_share_privilege_or_answers_400(walkthrough_fed):
+    """The privilege becomes part of the permission the kernel is asked about, so
+    a value such as ``read:scratch`` would ask about another system."""
+    run_sac_walkthrough(walkthrough_fed, "nominal")
+    run_scenario(walkthrough_fed, [
+        {"actor": "root1@tenant1", "action": "grant_user_permission",
+         "params": {"username": "bob", "permission": "systems:tenant1:read:scratch"},
+         "expect": {"status_code": 200}}])
+    bob = walkthrough_fed.login("tenant1", "bob")
+
+    def read_store(query=None):
+        return walkthrough_fed.request("GET", "tenant1.sim", "/v3/systems/storeSys",
+                                       token=bob, query=query)
+
+    assert read_store().status_code == 403
+    assert read_store({"privilege": "READ"}).status_code == 403
+    for privilege in ("read:scratch", "READ:scratch", "read", "ADMIN"):
+        response = read_store({"privilege": privilege})
+        assert response.status_code == 400, (privilege, response.text)
+        assert response.json()["result"]["code"] == "BAD_REQUEST"
+        assert "'privilege'" in response.json()["message"]
+
+
 def test_share_time_check_blocks_unauthorized_grantor(walkthrough_fed):
     steps = walkthrough_steps("nominal")
     # Drop alice's execSys grant: sharing must fail naming the system.

@@ -569,21 +569,32 @@ def test_a_check_that_writes_overlap_answers_from_one_state_of_the_role(monkeypa
     # The role implies the probe before, between and after these writes.
     writes = [(svc.revoke_permission, other), (svc.grant_permission, by_prefix),
               (svc.revoke_permission, by_spec)]
+    finished = []
 
-    class WritesOnFirstComparison(str):
-        """A canonical request that runs the writes at its first prefix comparison,
-        as a writer thread scheduled at that moment would."""
+    def write_all():
+        for write, permission in writes:
+            write("r", "t1", permission)
+            finished.append(permission)
+
+    writer = threading.Thread(target=write_all)
+
+    class StartsWriterOnFirstComparison(str):
+        """A canonical request that starts the writer at its first prefix comparison and
+        lets it run, as a scheduler switching threads at that moment would."""
 
         def startswith(self, prefix):
-            while writes:
-                write, permission = writes.pop(0)
-                write("r", "t1", permission)
+            if writer.ident is None:
+                writer.start()
+                writer.join(timeout=0.2)
             return str.startswith(self, prefix)
 
     canonicalize = rbac_module.canonicalize
-    monkeypatch.setattr(rbac_module, "canonicalize", lambda spec: WritesOnFirstComparison(canonicalize(spec)))
+    monkeypatch.setattr(rbac_module, "canonicalize",
+                        lambda spec: StartsWriterOnFirstComparison(canonicalize(spec)))
     assert svc.is_permitted(user, "files:t1:read:s1:/w/x")
-    assert writes == []
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert finished == [permission for _, permission in writes]
 
 
 def _peak_bytes_per_grant(held):
@@ -667,21 +678,27 @@ class _SlowService(RbacService):
 
     def role_grants(self, tenant, role):
         grants = super().role_grants(tenant, role)
-        time.sleep(0.0005)
+        if grants is not None:
+            time.sleep(0.0005)
         return grants
 
 
 def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
-    reach = rbac_module._reach
+    reach, delay, writer = rbac_module._reach, 0.0005, threading.current_thread()
 
-    def slow_reach(edges, start):  # widens the gap between a closure map's fill and its use
+    def slow_reach(edges, start):
+        """Slows the readers' closure fills only, so one that began before a write
+        outlasts the writer's own fill after it."""
         closure = reach(edges, start)
-        time.sleep(0.0005)
+        if threading.current_thread() is not writer:
+            time.sleep(delay)
         return closure
 
     monkeypatch.setattr(rbac_module, "_reach", slow_reach)
     svc = _SlowService()
-    svc.create_role("tacc", "shared", "admin")
+    for role in ("shared", "leaf"):
+        svc.create_role("tacc", role, "admin")
+    svc.add_child_role("tacc", "shared", "leaf")
     user = UserIdentity("u", "tacc")
     svc.grant_role(user, "shared", "admin")
     stop, errors = threading.Event(), []
@@ -690,7 +707,7 @@ def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
         try:
             while not stop.is_set():
                 svc.is_permitted(user, "systems:tacc:read:elsewhere")
-                svc.has_role(user, "shared")
+                svc.has_role(user, "leaf")  # held only through a child edge: reads the closure map
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -710,9 +727,14 @@ def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
             if svc.is_permitted(user, permission):
                 stale.append(f"revoke {i}")
             svc.create_role("tacc", f"c{i}", "admin")
+            time.sleep(2 * delay)  # readers start fills that predate the edge
             svc.add_child_role("tacc", "shared", f"c{i}")
             if not svc.has_role(user, f"c{i}"):
                 stale.append(f"child {i}")
+            # A fill that began before the edge was added has stored its map by now.
+            time.sleep(4 * delay * len(svc._roles["tacc"]))
+            if not svc.has_role(user, f"c{i}"):
+                stale.append(f"child {i} after a fill")
     finally:
         stop.set()
         sys.setswitchinterval(interval)
