@@ -8,12 +8,13 @@ any permission attached to any role in the user's effective closure
 implies a concrete request.
 
 ``RbacService`` holds one site's policy: the federation bootstraps it from
-config on every start. It rejects cycles and memoizes each tenant's role
-closures. Every read and every write of a tenant's policy holds that
-tenant's lock, so a query sees each write whole or not at all, and never a
-decision that a finished write has made stale. Each grant is parsed once,
-when it is written, into one record per role that is both its grant list
-and its matcher: a grant or revoke changes the record in place.
+config on every start. It rejects cycles and keeps no derived role state: a
+query walks the child edges from the subject's own roles, at a cost set by
+that subject's closure, not the tenant's size. Every read and every write of
+a tenant's policy holds that tenant's lock, so a query sees each write whole
+or not at all. Each grant is parsed once, when it is written, into one record
+per role that is both its grant list and its matcher: a grant or revoke
+changes the record in place.
 """
 
 from __future__ import annotations
@@ -58,15 +59,15 @@ def default_role_name(username: str) -> str:
     return DEFAULT_ROLE_PREFIX + username
 
 
-def _reach(edges, start) -> frozenset:
-    """Every role reachable from ``start`` through child edges, itself included."""
-    seen, frontier = {start}, [start]
+def _reach(edges, start) -> set:
+    """Every role reachable from the roles in ``start`` through child edges, themselves included."""
+    seen, frontier = set(start), list(start)
     while frontier:
         for child in edges.get(frontier.pop(), ()):
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
-    return frozenset(seen)
+    return seen
 
 
 def _matcher_entry(spec: PermissionSpec, canon: str):
@@ -130,7 +131,6 @@ class RbacService:
         self.audit_log = deque(maxlen=AUDIT_LIMIT)
         self._tenant_locks = {}
         self._locks_guard = threading.Lock()
-        self._closures = {}   # tenant -> {role: frozenset(reachable incl. self)}
 
     def _lock(self, tenant) -> threading.RLock:
         lock = self._tenant_locks.get(tenant)
@@ -154,8 +154,7 @@ class RbacService:
             return
         if caller.kind == "user" and caller.tenant == tenant:
             with self._lock(tenant):
-                if (TENANT_ADMIN_ROLE in self._roles.get(tenant, {})
-                        and self.has_role(UserIdentity(caller.name, tenant), TENANT_ADMIN_ROLE)):
+                if TENANT_ADMIN_ROLE in self._effective(tenant, caller.name):
                     return
         raise NotAuthorized(f"{caller.subject()} may not administer roles in tenant {tenant!r}")
 
@@ -175,7 +174,6 @@ class RbacService:
                     return self.get_role(tenant, name)
                 raise RoleExists(f"role {name!r} already exists in {tenant!r} with different fields")
             roles[name] = (owner, description)
-            self._closures.pop(tenant, None)
         return Role(name=name, tenant=tenant, owner=owner, description=description)
 
     def get_role(self, tenant, name) -> Role:
@@ -185,6 +183,9 @@ class RbacService:
         return Role(name=name, tenant=tenant, owner=owner, description=description, children=children)
 
     def delete_role(self, tenant, name, caller=None):
+        # Logins and role administration depend on the platform roles.
+        if name.startswith(RESERVED_PREFIX):
+            raise NotAuthorized(f"platform role {name!r} may not be deleted")
         self._authorize_admin(tenant, caller)
         with self._lock(tenant):
             self._row(tenant, name)
@@ -197,7 +198,6 @@ class RbacService:
                 by_subject.pop(name, None)
             self._grants.pop((tenant, name), None)
             self.audit_log.append((time.time(), tenant, "delete_role_cascade", name))
-            self._closures.pop(tenant, None)
 
     def create_tenant_defaults(self, tenant):
         """Reserved roles every tenant carries from creation."""
@@ -214,19 +214,9 @@ class RbacService:
             self._row(tenant, parent)
             self._row(tenant, child)
             edges = self._edges.setdefault(tenant, {})
-            if parent in _reach(edges, child):
+            if parent in _reach(edges, (child,)):
                 raise CycleDetected(f"edge {parent!r} -> {child!r} would close a cycle")
             edges.setdefault(parent, set()).add(child)
-            self._closures.pop(tenant, None)
-
-    def _closure_map(self, tenant):
-        """Each role's reach, built on a miss; the caller holds the tenant lock."""
-        closures = self._closures.get(tenant)
-        if closures is None:
-            edges = self._edges.get(tenant, {})
-            closures = self._closures[tenant] = {
-                role: _reach(edges, role) for role in self._roles.get(tenant, ())}
-        return closures
 
     # -- assignments --
 
@@ -234,9 +224,7 @@ class RbacService:
         name = default_role_name(user.username)
         with self._lock(user.tenant):
             roles = self._roles.setdefault(user.tenant, {})
-            if name not in roles:
-                roles[name] = (user.username, "default role")
-                self._closures.pop(user.tenant, None)
+            roles.setdefault(name, (user.username, "default role"))
             self._assignments.setdefault(user.tenant, {}).setdefault(user.username, {})[name] = "system"
         return self.get_role(user.tenant, name)
 
@@ -265,19 +253,15 @@ class RbacService:
     def subject_has_role(self, tenant, subject, role_name) -> bool:
         with self._lock(tenant):
             self._row(tenant, role_name)
-            direct = self._assignments.get(tenant, {}).get(subject, {})
-            if role_name in direct:
-                return True
-            closures = self._closure_map(tenant)
-            return any(role_name in closures.get(r, ()) for r in direct)
+            return role_name in self._effective(tenant, subject)
 
     def effective_roles(self, tenant, subject) -> frozenset:
         with self._lock(tenant):
-            closures = self._closure_map(tenant)
-            out = set()
-            for r in self._assignments.get(tenant, {}).get(subject, ()):
-                out |= closures.get(r, frozenset({r}))
-        return frozenset(out)
+            return frozenset(self._effective(tenant, subject))
+
+    def _effective(self, tenant, subject) -> set:
+        """The subject's roles and every role they reach; the caller holds the tenant lock."""
+        return _reach(self._edges.get(tenant, {}), self._assignments.get(tenant, {}).get(subject, ()))
 
     # -- permissions --
 
@@ -313,7 +297,7 @@ class RbacService:
             raise MalformedPermission(f"required permission must be concrete: {required_permission!r}")
         canonical = canonicalize(required)
         with self._lock(tenant):
-            for role in self.effective_roles(tenant, subject):
+            for role in self._effective(tenant, subject):
                 grants = self.role_grants(tenant, role)
                 if grants is not None and grants.permits(canonical, required):
                     return True

@@ -21,6 +21,7 @@ import re
 import socketserver
 import threading
 import time
+from urllib.parse import unquote
 
 from .errors import NotAuthorized, SecurityError, StartupError
 from .gatekeeper import (OBO_TENANT_HEADER, OBO_USER_HEADER, TOKEN_HEADER, InboundRequest,
@@ -107,7 +108,11 @@ class ServiceApp:
                 if not verdict.accepted:
                     return rejection_response(verdict)
             try:
-                return handler(req, verdict, **self._bind(req, match.groupdict(), fields))
+                groups = match.groupdict()  # each names one id once decoded: no encoded "/"
+                if any("%2f" in value.lower() for value in groups.values()):
+                    raise BadRequestBody("a path parameter may not hold an encoded '/'")
+                path_args = {name: unquote(value) for name, value in groups.items()}
+                return handler(req, verdict, **self._bind(req, path_args, fields))
             except BadRequestBody as exc:
                 return fail(400, "BAD_REQUEST", str(exc))
             except SecurityError as exc:

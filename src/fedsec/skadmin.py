@@ -97,7 +97,6 @@ class BootstrapConfig:
     tenants: list
     services: list
     secret_specs: list = field(default_factory=list)
-    export_target: str = "encrypted-file"
     associate_admin_keys: dict = field(default_factory=dict)
     store_path: str = "vault-data"
     master_key_file: str = "vault-master.key"
@@ -111,8 +110,6 @@ class BootstrapConfig:
             raise ConfigInvalid("the admin tenant must appear in the tenants list")
         if not self.services:
             raise ConfigInvalid("at least one service is required")
-        if self.export_target not in ("encrypted-file", "orchestrator-secrets"):
-            raise ConfigInvalid(f"unknown export target {self.export_target!r}")
 
     @classmethod
     def from_dict(cls, d) -> "BootstrapConfig":
@@ -124,7 +121,6 @@ class BootstrapConfig:
                 tenants=list(d.get("tenants", ())),
                 services=list(d.get("services", ())),
                 secret_specs=[SecretSpec.from_dict(s) for s in d.get("secret_specs", ())],
-                export_target=d.get("export_target", "encrypted-file"),
                 associate_admin_keys=dict(d.get("associate_admin_keys", {})),
                 store_path=d.get("store_path", "vault-data"),
                 master_key_file=d.get("master_key_file", "vault-master.key"),
@@ -151,7 +147,6 @@ class BootstrapConfig:
                  **({"tenant": s.tenant} if s.tenant else {})}
                 for s in self.secret_specs
             ],
-            "export_target": self.export_target,
             "associate_admin_keys": dict(self.associate_admin_keys),
             "store_path": self.store_path,
             "master_key_file": self.master_key_file,

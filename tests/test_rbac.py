@@ -673,6 +673,29 @@ def test_role_chain_deeper_than_the_recursion_limit(svc):
         svc.add_child_role("tacc", names[-1], names[0])
 
 
+def test_a_checks_closure_work_follows_the_subject_not_the_tenant(svc, monkeypatch):
+    for i in range(1000):
+        svc.ensure_default_role(UserIdentity(f"user{i}", "tacc"))
+    user = UserIdentity("u", "tacc")
+    svc.create_role("tacc", "parent", "admin")
+    svc.create_role("tacc", "child", "admin")
+    svc.add_child_role("tacc", "parent", "child")
+    svc.grant_role(user, "parent", "admin")
+    svc.grant_permission("child", "tacc", "systems:tacc:read:s1")
+    svc.create_role("tacc", "fresh", "admin")
+    reach, visited = rbac_module._reach, []
+
+    def counting_reach(edges, start):
+        roles = reach(edges, start)
+        visited.append(len(roles))
+        return roles
+
+    monkeypatch.setattr(rbac_module, "_reach", counting_reach)
+    assert svc.is_permitted(user, "systems:tacc:read:s1")
+    monkeypatch.undo()
+    assert 0 < sum(visited) <= len(svc.effective_roles("tacc", "u")) == 2
+
+
 class _SlowService(RbacService):
     """Widens the gap between a check's read of a role's grant record and its scan."""
 
@@ -687,8 +710,8 @@ def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
     reach, delay, writer = rbac_module._reach, 0.0005, threading.current_thread()
 
     def slow_reach(edges, start):
-        """Slows the readers' closure fills only, so one that began before a write
-        outlasts the writer's own fill after it."""
+        """Slows the readers' closure walks only, so one that began before a write
+        outlasts the writer's own walk after it."""
         closure = reach(edges, start)
         if threading.current_thread() is not writer:
             time.sleep(delay)
@@ -707,7 +730,7 @@ def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
         try:
             while not stop.is_set():
                 svc.is_permitted(user, "systems:tacc:read:elsewhere")
-                svc.has_role(user, "leaf")  # held only through a child edge: reads the closure map
+                svc.has_role(user, "leaf")  # held only through a child edge: walks the closure
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -727,12 +750,12 @@ def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
             if svc.is_permitted(user, permission):
                 stale.append(f"revoke {i}")
             svc.create_role("tacc", f"c{i}", "admin")
-            time.sleep(2 * delay)  # readers start fills that predate the edge
+            time.sleep(2 * delay)  # readers start walks that predate the edge
             svc.add_child_role("tacc", "shared", f"c{i}")
             if not svc.has_role(user, f"c{i}"):
                 stale.append(f"child {i}")
-            # A fill that began before the edge was added has stored its map by now.
-            time.sleep(4 * delay * len(svc._roles["tacc"]))
+            # A walk that began before the edge was added has answered by now.
+            time.sleep(4 * delay)
             if not svc.has_role(user, f"c{i}"):
                 stale.append(f"child {i} after a fill")
     finally:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fedsec.gatekeeper import OBO_TENANT_HEADER, OBO_USER_HEADER, TOKEN_HEADER
 from fedsec.service import SiteRuntime
 from fedsec.sim.federation import build_federation
+from fedsec.sim.presets import two_site_topology
 from fedsec.sim.scenario import walkthrough_topology_doc
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -138,6 +139,51 @@ def test_non_admin_cannot_create_roles_over_http(fed, tokens):
                     json_body={"roleName": "sneaky"})
     assert r.status_code == 403
     assert r.json()["result"]["code"] == "NOT_AUTHORIZED"
+
+
+def test_platform_roles_cannot_be_deleted_over_http():
+    federation = build_federation(two_site_topology())
+    try:
+        root = federation.login("tenant1", "root1")
+        for role in ("$!token_generator", "$!tenant_admin"):
+            r = federation.request("DELETE", "tenant1.sim", f"/v3/security/roles/{role}", token=root)
+            assert r.status_code == 403, r.text
+            assert r.json()["result"]["code"] == "NOT_AUTHORIZED"
+        r = federation.request("POST", "tenant1.sim", "/v3/authenticator/tokens",
+                               json_body={"tenant": "tenant1", "username": "alice",
+                                          "password": "pw-alice"})
+        assert r.status_code == 201, r.text
+        r = federation.request("POST", "tenant1.sim", "/v3/security/roles", token=root,
+                               json_body={"roleName": "after_deletes"})
+        assert r.status_code == 201, r.text
+    finally:
+        federation.close()
+
+
+def test_path_parameters_are_percent_decoded(fed, tokens):
+    r = fed.request("POST", "tenant1.sim", "/v3/security/roles", token=tokens["root"],
+                    json_body={"roleName": "my role"})
+    assert r.status_code == 201, r.text
+    r = fed.request("GET", "tenant1.sim", "/v3/security/roles/my role", token=tokens["root"])
+    assert r.status_code == 200, r.text
+    assert r.json()["result"]["roleName"] == "my role"
+    r = fed.request("POST", "tenant1.sim", "/v3/systems", token=tokens["root"],
+                    json_body={"id": "\u00e9t\u00e9"})
+    assert r.status_code == 201, r.text
+    r = fed.request("GET", "tenant1.sim", "/v3/systems/\u00e9t\u00e9", token=tokens["root"])
+    assert r.status_code == 200, r.text
+    assert r.json()["result"]["definition"]["id"] == "\u00e9t\u00e9"
+
+
+@pytest.mark.parametrize("path", [
+    "/v3/security/roles/a%2Fb",
+    "/v3/systems/a%2fb",
+    "/v3/security/vault/secret/user-secret/tenant1/root1/a%2Fb",
+])
+def test_an_encoded_slash_in_a_path_parameter_answers_400(fed, tokens, path):
+    r = fed.request("GET", "tenant1.sim", path, token=tokens["root"])
+    assert r.status_code == 400, r.text
+    assert r.json()["result"]["code"] == "BAD_REQUEST"
 
 
 def test_user_cannot_query_other_users(fed, tokens):

@@ -98,8 +98,6 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         primary_config(services=[])
     with pytest.raises(ConfigInvalid):
-        primary_config(export_target="ftp")
-    with pytest.raises(ConfigInvalid):
         BootstrapConfig.from_dict({"site_id": "x"})
 
 
