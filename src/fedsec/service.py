@@ -65,11 +65,12 @@ class ServiceApp:
             # {name} matches one segment; {name:path} spans segments.
             regex = re.sub(r"\{(\w+):path\}", r"(?P<\1>.+)", pattern)
             regex = re.compile("^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", regex) + "$")
+            segments = tuple(re.findall(r"\{(\w+)\}", pattern))
             handler = getattr(self, handler_name)
             params = list(inspect.signature(handler, eval_str=True).parameters.values())[2:]
             fields = tuple((p.name, str if p.annotation is p.empty else p.annotation,
                             p.default is p.empty) for p in params)
-            self._compiled.append((method, regex, auth, handler, fields))
+            self._compiled.append((method, regex, segments, auth, handler, fields))
 
     @staticmethod
     def _bind(req: Request, path_args: dict, fields) -> dict:
@@ -96,7 +97,7 @@ class ServiceApp:
         return args
 
     def dispatch(self, req: Request) -> Response:
-        for method, regex, auth, handler, fields in self._compiled:
+        for method, regex, segments, auth, handler, fields in self._compiled:
             if req.method != method:
                 continue
             match = regex.match(req.path)
@@ -108,8 +109,10 @@ class ServiceApp:
                 if not verdict.accepted:
                     return rejection_response(verdict)
             try:
-                groups = match.groupdict()  # each names one id once decoded: no encoded "/"
-                if any("%2f" in value.lower() for value in groups.values()):
+                # A {name} group stays one segment once decoded; in a {name:path}
+                # group a decoded "/" is one more separator.
+                groups = match.groupdict()
+                if any("%2f" in groups[name].lower() for name in segments):
                     raise BadRequestBody("a path parameter may not hold an encoded '/'")
                 path_args = {name: unquote(value) for name, value in groups.items()}
                 return handler(req, verdict, **self._bind(req, path_args, fields))

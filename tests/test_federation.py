@@ -476,6 +476,23 @@ def test_no_authn_route_serves_url_shares():
         federation.close()
 
 
+def test_an_encoded_slash_in_a_file_path_is_a_separator():
+    federation = build_federation(walkthrough_topology_doc())
+    try:
+        bob = federation.login("tenant1", "bob")
+        response = federation.request("POST", "tenant1.sim", "/v3/security/shares", token=bob,
+                                      json_body={"grantee": "~public-no-authn",
+                                                 "resourceType": "path",
+                                                 "resourceId": "arcSys:/pub/data.csv",
+                                                 "privilege": "READ"})
+        assert response.status_code == 201
+        opened = federation.request("GET", "tenant1.sim", "/v3/files/content/arcSys/pub%2Fdata.csv")
+        assert opened.status_code == 200, opened.text
+        assert opened.json()["result"]["path"] == "/pub/data.csv"
+    finally:
+        federation.close()
+
+
 def test_no_authn_route_disabled_without_flag():
     federation = build_federation(two_site_topology())  # no flagged routes
     try:

@@ -754,8 +754,9 @@ def test_caches_never_serve_a_decision_a_finished_write_made_stale(monkeypatch):
             svc.add_child_role("tacc", "shared", f"c{i}")
             if not svc.has_role(user, f"c{i}"):
                 stale.append(f"child {i}")
-            # A walk that began before the edge was added has answered by now.
-            time.sleep(4 * delay)
+            # A walk that began before the edge was added has answered by now, even
+            # one over every role in the tenant, as a whole-tenant cache would take.
+            time.sleep(4 * delay * len(svc._roles["tacc"]))
             if not svc.has_role(user, f"c{i}"):
                 stale.append(f"child {i} after a fill")
     finally:
