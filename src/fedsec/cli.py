@@ -4,6 +4,7 @@ federation simulator driver."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import click
 
 from .errors import ConfigInvalid, SecurityError, StoreUnreachable
 from .secrets import FileKvBackend, SecretsService, generate_master_key
+from .sim.loadgen import PERMISSIONS_PER_SYSTEM
 from .skadmin import (
     BootstrapConfig,
     check_deployment_order,
@@ -200,16 +202,36 @@ def fedsim_matrix(topology_path):
     sys.exit(0 if not report["disagreements"] else 1)
 
 
-def _parse_wait(text):
-    low, _, high = text.partition(":")
-    return float(low), float(high)
+def _wait_range(ctx, param, text):
+    """``--wait low:high`` seconds, checked before any federation starts."""
+    try:
+        low, high = map(float, text.split(":"))
+    except ValueError:
+        low = high = math.nan
+    if not 0 < low <= high < math.inf:
+        raise click.BadParameter(f"{text!r} is not low:high seconds with 0 < low <= high")
+    return low, high
+
+
+def _counts(step=1):
+    """A check of one count or a comma-separated list of them, each a positive
+    multiple of ``step``; seeding lays permissions out one system at a time."""
+    def check(ctx, param, value):
+        try:
+            counts = [int(x) for x in str(value).split(",")]
+        except ValueError:
+            counts = [0]
+        if any(c < 1 or c % step for c in counts):
+            raise click.BadParameter(f"{value!r} is not a comma-separated list of positive multiples of {step}")
+        return counts if isinstance(value, str) else value
+    return check
 
 
 @fedsim_cli.command("load")
-@click.option("--permissions", type=int, default=50_000)
-@click.option("--users", type=int, default=20)
-@click.option("--wait", default="0.01:0.1", help="Pacing range seconds, low:high.")
-@click.option("--duration", type=float, default=60.0)
+@click.option("--permissions", type=int, default=50_000, callback=_counts(PERMISSIONS_PER_SYSTEM))
+@click.option("--users", type=click.IntRange(min=1), default=20)
+@click.option("--wait", default="0.01:0.1", callback=_wait_range, help="Pacing range seconds, low:high.")
+@click.option("--duration", type=click.FloatRange(min=0, min_open=True), default=60.0)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--topology", "topology_path", type=click.Path(exists=True), default=None)
 def fedsim_load(permissions, users, wait, duration, out_path, topology_path):
@@ -223,7 +245,7 @@ def fedsim_load(permissions, users, wait, duration, out_path, topology_path):
     try:
         workload = seed_permissions(federation, permissions)
         profile = LoadProfile(permission_count=permissions, concurrent_users=users,
-                              wait_time_range=_parse_wait(wait), duration=duration)
+                              wait_time_range=wait, duration=duration)
         report = run_load(federation, profile, workload)
     finally:
         federation.close()
@@ -235,24 +257,22 @@ def fedsim_load(permissions, users, wait, duration, out_path, topology_path):
 
 
 @fedsim_cli.command("ladder")
-@click.option("--permissions", default="1000,10000,25000,50000",
+@click.option("--permissions", default="1000,10000,25000,50000", callback=_counts(PERMISSIONS_PER_SYSTEM),
               help="Comma-separated permission counts.")
-@click.option("--users", default="20",
+@click.option("--users", default="20", callback=_counts(),
               help="Comma-separated virtual-user counts; the ladder runs "
                    "the full cross product.")
-@click.option("--wait", default="0.01:0.1")
-@click.option("--duration", type=float, default=10.0)
+@click.option("--wait", default="0.01:0.1", callback=_wait_range)
+@click.option("--duration", type=click.FloatRange(min=0, min_open=True), default=10.0)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def fedsim_ladder(permissions, users, wait, duration, out_path):
     """Run the load ladder, one fresh federation per scenario."""
     from .sim.loadgen import run_ladder
     from .sim.presets import load_topology
 
-    ladder = [int(x) for x in permissions.split(",")]
     rows = []
-    for user_count in (int(x) for x in users.split(",")):
-        reports = run_ladder(load_topology, ladder, user_count, wait=_parse_wait(wait),
-                             duration=duration)
+    for user_count in users:
+        reports = run_ladder(load_topology, permissions, user_count, wait=wait, duration=duration)
         rows.extend(r.to_dict() for r in reports)
     click.echo(json.dumps(rows, indent=2))
     if out_path:
@@ -261,9 +281,9 @@ def fedsim_ladder(permissions, users, wait, duration, out_path):
 
 
 @fedsim_cli.command("penalty")
-@click.option("--link-ms", type=float, default=132.5,
+@click.option("--link-ms", type=click.FloatRange(min=0), default=132.5,
               help="One-way link latency between associate and primary.")
-@click.option("--samples", type=int, default=9)
+@click.option("--samples", type=click.IntRange(min=1), default=9)
 def fedsim_penalty(link_ms, samples):
     """Measure the extra-hop latency for a primary-only service."""
     from .sim.federation import build_federation

@@ -22,10 +22,6 @@ class MalformedPermission(SecurityError):
     code = "MALFORMED_PERMISSION"
 
 
-class UnknownSchema(SecurityError):
-    code = "UNKNOWN_SCHEMA"
-
-
 class SchemaMismatch(SecurityError):
     code = "SCHEMA_MISMATCH"
 
@@ -62,11 +58,6 @@ class UnknownTenant(SecurityError):
 class UnknownSite(SecurityError):
     code = "UNKNOWN_SITE"
     http_status = 404
-
-
-class DuplicateTenant(SecurityError):
-    code = "DUPLICATE_TENANT"
-    http_status = 409
 
 
 class DuplicateSite(SecurityError):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import MalformedPermission, SchemaMismatch, UnknownSchema
+from .errors import MalformedPermission, SchemaMismatch
 
 WILDCARD = "*"
 
@@ -59,24 +59,19 @@ class SchemaRule:
 
 
 class SchemaRegistry:
-    """Lookup table of SchemaRules keyed by leading-part literal.
+    """Lookup table of SchemaRules keyed by leading-part literal. A schema
+    with no rule parses with no path tail."""
 
-    In strict mode, parsing a permission whose schema has no rule raises
-    UnknownSchema; otherwise unknown schemas parse with no path tail.
-    """
-
-    def __init__(self, rules=(), strict: bool = False):
+    def __init__(self, rules=()):
         self._rules = {r.schema: r for r in rules}
-        self.strict = strict
 
     def rule_for(self, schema: str) -> SchemaRule | None:
         return self._rules.get(schema)
 
     @classmethod
-    def from_config(cls, entries, strict: bool = False) -> "SchemaRegistry":
+    def from_config(cls, entries) -> "SchemaRegistry":
         """Build from configuration dicts: [{"schema": ..., "path_part_index": ...}, ...]."""
-        rules = [SchemaRule(e["schema"], e.get("path_part_index")) for e in entries]
-        return cls(rules, strict=strict)
+        return cls(SchemaRule(e["schema"], e.get("path_part_index")) for e in entries)
 
 
 #: Default registry: the files schema carries a path in part 4
@@ -133,8 +128,6 @@ def _path_index_for(first_part, registry: SchemaRegistry) -> int | None:
     indexes = set()
     for literal in first_part:
         rule = registry.rule_for(literal)
-        if rule is None and registry.strict:
-            raise UnknownSchema(f"no schema rule for {literal!r}")
         indexes.add(rule.path_part_index if rule else None)
     if len(indexes) > 1:
         raise SchemaMismatch(f"leading part {sorted(first_part)} mixes schemas with different path semantics")
@@ -249,7 +242,3 @@ def implies(granted: PermissionSpec, required: PermissionSpec) -> bool:
         return False
     return path_implied(granted.path_tail, required.path_tail)
 
-
-def implies_str(granted: str, required: str, registry: SchemaRegistry = DEFAULT_REGISTRY) -> bool:
-    """Convenience wrapper parsing both sides under one registry."""
-    return implies(parse_permission(granted, registry), parse_permission(required, registry))

@@ -255,10 +255,6 @@ class RbacService:
             self._row(tenant, role_name)
             return role_name in self._effective(tenant, subject)
 
-    def effective_roles(self, tenant, subject) -> frozenset:
-        with self._lock(tenant):
-            return frozenset(self._effective(tenant, subject))
-
     def _effective(self, tenant, subject) -> set:
         """The subject's roles and every role they reach; the caller holds the tenant lock."""
         return _reach(self._edges.get(tenant, {}), self._assignments.get(tenant, {}).get(subject, ()))

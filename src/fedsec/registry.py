@@ -1,10 +1,11 @@
 """Authoritative model of sites, tenants, base URLs, and signing keys.
 
 The registry is loaded from a declarative JSON document with top-level
-``sites`` and ``tenants`` arrays. It is read-mostly: runtime mutation is
-limited to tenant registration and public-key replacement, and every
-mutation swaps a fully validated immutable snapshot, so readers never see
-partial updates.
+``sites`` and ``tenants`` arrays into one fully validated, immutable
+snapshot. Nothing changes it at runtime: every tenant and signing key a
+site serves comes from the topology and ``sk-admin`` when the site starts.
+A key rotation is ``sk-admin bootstrap --replace`` followed by a restart,
+which loads a new snapshot.
 
 Associate sites do not own a registry; they cache the primary's through
 ``CachedRegistryView`` with a fixed refresh interval.
@@ -14,10 +15,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import DuplicateTenant, NotAuthorized, TopologyInvalid, UnknownSite, UnknownTenant
-from .identity import Caller
+from .errors import TopologyInvalid, UnknownSite, UnknownTenant
 
 REQUIRED_SITE_SERVICES = frozenset({"tokens", "authenticator", "security-kernel"})
 TENANTS_SERVICE = "tenants"
@@ -94,8 +94,8 @@ class RegistryView:
     """The registry queries, each answered from ``self.snapshot``.
 
     A caller making one decision reads ``snapshot`` once and queries that
-    object, so the whole decision sees one topology even if a refresh or a
-    mutation lands meanwhile.
+    object, so the whole decision sees one topology even if an associate's
+    cache refreshes meanwhile.
     """
 
     snapshot: "RegistrySnapshot"
@@ -201,44 +201,10 @@ def load_config(doc: dict) -> RegistrySnapshot:
 
 
 class Registry(RegistryView):
-    """Mutable holder over immutable snapshots; swaps are atomic."""
+    """The primary site's registry: a holder of its one snapshot."""
 
     def __init__(self, snapshot: RegistrySnapshot):
         self.snapshot = snapshot
-        self._lock = threading.Lock()
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "Registry":
-        return cls(load_config(doc))
-
-    # -- mutation --
-
-    def register_tenant(self, record: TenantRecord, caller: Caller):
-        if record.is_admin_tenant and caller.kind != "bootstrap":
-            raise NotAuthorized("administrative tenants enter only through the bootstrap key exchange")
-        if caller.kind == "operator":
-            allowed_sites = {self.primary_site().site_id, record.owning_site}
-            if caller.name not in allowed_sites:
-                raise NotAuthorized(f"operator of {caller.name!r} may not register tenants for {record.owning_site!r}")
-        elif caller.kind != "bootstrap":
-            raise NotAuthorized("tenant registration requires a site operator or the bootstrap path")
-        with self._lock:
-            snap = self.snapshot
-            if record.tenant_id in snap.tenants:
-                raise DuplicateTenant(f"tenant {record.tenant_id!r} already registered")
-            if record.owning_site not in snap.sites:
-                raise UnknownSite(f"no site {record.owning_site!r}")
-            self.snapshot = RegistrySnapshot(snap.sites.values(), list(snap.tenants.values()) + [record])
-
-    def replace_public_key(self, tenant_id: str, public_key: str):
-        with self._lock:
-            snap = self.snapshot
-            rec = snap.tenants.get(tenant_id)
-            if rec is None:
-                raise UnknownTenant(f"no tenant {tenant_id!r}")
-            updated = replace(rec, public_key=public_key)
-            tenants = [updated if t.tenant_id == tenant_id else t for t in snap.tenants.values()]
-            self.snapshot = RegistrySnapshot(snap.sites.values(), tenants)
 
 
 class CachedRegistryView(RegistryView):

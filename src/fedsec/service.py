@@ -393,8 +393,6 @@ class SiteRuntime:
     def service_request(self, from_service, method, tenant, path, obo=None,
                         json_body=None, query=None, headers=None):
         """Outbound service-to-service call; wired in by the federation."""
-        if self.service_request_fn is None:
-            return None
         return self.service_request_fn(self.site_id, from_service, method, tenant, path,
                                        obo=obo, json_body=json_body, query=query,
                                        headers=headers)

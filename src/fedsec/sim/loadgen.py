@@ -24,7 +24,6 @@ from ..identity import Caller, UserIdentity
 
 ARCHETYPES = ("scientists", "developers", "project_managers", "collaborators", "public")
 PERMISSIONS_PER_SYSTEM = 1000
-PERMISSION_LADDER = (1000, 10000, 25000, 50000, 100000)
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,9 @@ class _StubApp(ServiceApp):
 
     def call(self, method, path, user, *, query=None, json_body=None, headers=None):
         """A service request on ``user``'s behalf in ``user``'s tenant, as
-        (status, envelope); (None, {}) when no federation is wired in."""
+        (status, envelope)."""
         response = self.rt.service_request(self.name, method, user.tenant, path, obo=user,
                                            json_body=json_body, query=query, headers=headers)
-        if response is None:
-            return None, {}
         return response.status_code, response.json()
 
     def record(self, action, **detail):
@@ -266,7 +264,7 @@ class AppsApp(_StubApp):
         status, body = self.call("POST", "/v3/security/shares", user,
                                  json_body={"grantee": grantee, "resourceType": "application",
                                             "resourceId": app_id, "privilege": privilege})
-        if status is None or status >= 500:
+        if status >= 500:
             return fail(502, "SHARE_FAILED", "share grant could not be recorded")
         if status != 201:  # the kernel's answer to a client mistake
             return Response(status, body)

@@ -9,9 +9,7 @@ unauthenticated routes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..errors import TopologyInvalid
 from ..permissions import DEFAULT_REGISTRY, SchemaRegistry
@@ -73,10 +71,6 @@ class Topology:
             service_token_ttl=float(doc.get("service_token_ttl_seconds", 4 * 3600)),
             operator_credentials=dict(doc.get("operator_credentials", {})),
         )
-
-    @classmethod
-    def from_file(cls, path) -> "Topology":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
     def snapshot(self) -> RegistrySnapshot:
         return RegistrySnapshot(self.sites, self.tenants)

@@ -36,7 +36,6 @@ from .secrets import (
     SecretPath,
     SecretsService,
     SecretValue,
-    decrypt_backup,
     encrypt_backup,
 )
 from .tokens import generate_keypair
@@ -247,10 +246,6 @@ def export_secrets(report: BootstrapReport, secrets: SecretsService, target: str
     else:
         raise ExportFailed(f"unknown export target {target!r}")
     return out
-
-
-def read_encrypted_export(path, master_key: bytes):
-    return decrypt_backup(Path(path).read_bytes(), master_key)
 
 
 def exchange_associate_key(assoc_site_id: str, public_key_pem: str,

@@ -2,11 +2,14 @@
 
 Each oracle re-derives an answer by exhaustive enumeration instead of any
 clever matching, so the fast implementations can be checked against them.
+``implies_str`` is the one exception: a shorthand over the library's own
+parser and ``implies`` for tests that state permissions as strings.
 """
 
 from itertools import product
 
-from fedsec.errors import MalformedPermission, SchemaMismatch, UnknownSchema
+from fedsec.errors import MalformedPermission, SchemaMismatch
+from fedsec.permissions import DEFAULT_REGISTRY, implies, parse_permission
 
 
 def cover_set(parts, alphabet, depth):
@@ -159,8 +162,6 @@ def _reference_path_index(first_part, registry):
     indexes = set()
     for literal in first_part:
         rule = registry.rule_for(literal)
-        if rule is None and registry.strict:
-            raise UnknownSchema(f"no schema rule for {literal!r}")
         indexes.add(rule.path_part_index if rule else None)
     if len(indexes) > 1:
         raise SchemaMismatch(f"leading part {sorted(first_part)} mixes schemas with different path semantics")
@@ -191,3 +192,8 @@ def reference_canonicalize(spec):
     if spec.path_tail is not None:
         rendered.append(spec.path_tail)
     return ":".join(rendered)
+
+
+def implies_str(granted, required, registry=DEFAULT_REGISTRY):
+    """``implies`` over two permission strings, both parsed under one registry."""
+    return implies(parse_permission(granted, registry), parse_permission(required, registry))

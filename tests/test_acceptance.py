@@ -19,9 +19,9 @@ from fedsec.errors import (
     UnknownRole,
 )
 from fedsec.identity import BOOTSTRAP, Caller, UserIdentity
-from fedsec.permissions import WILDCARD, PermissionSpec, implies, implies_str
+from fedsec.permissions import WILDCARD, PermissionSpec, implies
 from fedsec.rbac import RbacService
-from fedsec.registry import Registry
+from fedsec.registry import load_config
 from fedsec.secrets import MemoryKvBackend, SecretCategory, SecretPath, SecretsService, SecretValue
 from fedsec.sharing import ShareGrant, SharingService
 from fedsec.skadmin import (
@@ -33,7 +33,7 @@ from fedsec.skadmin import (
 from fedsec.tokens import TokenClaims, TokenForge, encode_token, verify
 
 from .conftest import two_site_doc
-from .oracles import CoverOracle, oracle_reachable
+from .oracles import CoverOracle, implies_str, oracle_reachable
 
 PASS_LINE = "ACCEPTANCE {n}: PASS - {what}"
 
@@ -267,7 +267,7 @@ def test_acceptance_6_bootstrap():
 def test_acceptance_7_token_security(keypool):
     doc = two_site_doc({t: keypool[i] for i, t in enumerate(
         ["admin.prime", "admin.assoc1", "tenant1", "tenant2"])})
-    registry = Registry.from_config(doc)
+    registry = load_config(doc)
     tenants = ["admin.prime", "admin.assoc1", "tenant1", "tenant2"]
     keys = {t: keypool[i] for i, t in enumerate(tenants)}
     rng = random.Random(7)

@@ -82,3 +82,28 @@ def test_a_load_run_with_failed_checks_exits_1(args, monkeypatch):
     result = CliRunner().invoke(fedsim_cli, args)
     assert result.exit_code == 1, result.output
     assert all(r["failures"] == r["requests"] > 0 for r in _reports(result.output))
+
+
+MALFORMED_OPTIONS = [
+    ["load", "--wait", "abc"],
+    ["load", "--wait", "0.1:0.01"],
+    ["load", "--permissions", "1500"],
+    ["load", "--users", "0"],
+    ["ladder", "--users", "x"],
+    ["ladder", "--permissions", "1000,1500"],
+    ["ladder", "--wait", "0.01"],
+    ["penalty", "--samples", "0"],
+]
+
+
+@pytest.mark.parametrize("args", MALFORMED_OPTIONS, ids=" ".join)
+def test_a_malformed_option_is_a_usage_error_before_any_federation(args, monkeypatch):
+    import fedsec.sim.federation
+
+    def no_federation(topology):
+        raise AssertionError("a federation started")
+
+    monkeypatch.setattr(fedsec.sim.federation, "build_federation", no_federation)
+    result = CliRunner().invoke(fedsim_cli, args)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{args[1]}'" in result.output

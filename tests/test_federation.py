@@ -287,10 +287,9 @@ def test_forwarded_service_request_preserves_obo_headers():
 
 
 def test_signing_key_replacement_reaches_registry():
-    from fedsec.identity import BOOTSTRAP
-    from fedsec.skadmin import BootstrapConfig, run_bootstrap
+    from fedsec.registry import load_config
     from fedsec.secrets import MemoryKvBackend, SecretsService
-    from fedsec.registry import Registry
+    from fedsec.skadmin import BootstrapConfig, run_bootstrap
 
     from .conftest import two_site_doc
 
@@ -301,14 +300,12 @@ def test_signing_key_replacement_reaches_registry():
     store = SecretsService(backend=MemoryKvBackend(), site_id="prime",
                            admin_tenant="admin.prime")
     first = run_bootstrap(config, store)
-    registry = Registry.from_config(two_site_doc())
-    registry.replace_public_key("tenant1", first.public_keys["tenant1"])
-
     replaced = run_bootstrap(config, store, replace="tenant1/signing-key/*")
     assert replaced.replaced == ["tenant1/signing-key/sk/keypair"]
-    registry.replace_public_key("tenant1", replaced.public_keys["tenant1"])
-    assert registry.get_public_key("tenant1") == replaced.public_keys["tenant1"]
     assert replaced.public_keys["tenant1"] != first.public_keys["tenant1"]
+    # The restarted site loads a registry from the replaced keys.
+    registry = load_config(two_site_doc({t: ("", pem) for t, pem in replaced.public_keys.items()}))
+    assert registry.get_public_key("tenant1") == replaced.public_keys["tenant1"]
 
 
 def test_matrix_harness_catches_a_mutated_rule_order():
@@ -699,3 +696,16 @@ def test_the_federation_client_loads_neither_requests_nor_urllib3():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_the_benchmarks_traced_pass_installs_over_the_product():
+    # perfbench/tracing.py patches product names; a deletion of one that it
+    # patches would break every traced benchmark run.
+    src = Path(fedsec.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fedsec; "
+            "from tracing import Tracer, install; install(Tracer()); print(fedsec.__file__)")
+    run = subprocess.run([sys.executable, "-c", code, str(src.parent / "perfbench")],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert Path(run.stdout.strip()).resolve().parent == src / "fedsec"

@@ -6,7 +6,7 @@ from fedsec.gatekeeper import (
     derive_sender_site,
     validate_request,
 )
-from fedsec.registry import Registry
+from fedsec.registry import load_config
 from fedsec.tokens import TokenClaims, encode_token
 
 NOW = 1_000_000.0
@@ -22,7 +22,7 @@ def world(keypool):
 
     tenants = ["admin.prime", "admin.assoc1", "tenant1", "tenant2"]
     keys = {t: keypool[i] for i, t in enumerate(tenants)}
-    return Registry.from_config(two_site_doc(keys)), keys
+    return load_config(two_site_doc(keys)), keys
 
 
 def make_token(keys, kind, tenant, target_site=None, username=None, sign_as=None):
@@ -102,7 +102,7 @@ def test_rule5_no_associate_to_associate(world, keypool):
     keys["admin.assoc2"] = keypool[4]
     doc["tenants"].append({"tenant_id": "admin.assoc2", "owning_site": "assoc2",
                            "is_admin_tenant": True, "public_key": keypool[4][1]})
-    registry = Registry.from_config(doc)
+    registry = load_config(doc)
 
     token = make_token(keys, "service", "admin.assoc2", target_site="assoc1", username="systems")
     verdict = check(registry, token, "systems", "assoc1", obo_user="bob", obo_tenant="tenant2")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsec.errors import MalformedPermission, SchemaMismatch, UnknownSchema
+from fedsec.errors import MalformedPermission, SchemaMismatch
 from fedsec.permissions import (
     DEFAULT_REGISTRY,
     WILDCARD,
@@ -11,11 +11,16 @@ from fedsec.permissions import (
     SchemaRule,
     canonicalize,
     implies,
-    implies_str,
     parse_permission,
 )
 
-from .oracles import oracle_implies_parts, oracle_path_prefix, reference_canonicalize, reference_parse
+from .oracles import (
+    implies_str,
+    oracle_implies_parts,
+    oracle_path_prefix,
+    reference_canonicalize,
+    reference_parse,
+)
 
 # The worked examples: a grantee of (a) reads stampede2 in tacc, (b) has all
 # access to frontera in cyverse, (c) reads and modifies corral in a2cps.
@@ -86,12 +91,9 @@ def test_malformed_permissions_rejected(raw):
         parse_permission(raw)
 
 
-def test_strict_mode_rejects_unknown_schema():
-    registry = SchemaRegistry([SchemaRule("files", 4)], strict=True)
-    with pytest.raises(UnknownSchema):
-        parse_permission("widgets:tacc:read:x", registry)
-    # Non-strict default parses unknown schemas with no path tail.
-    assert parse_permission("widgets:tacc:read:x").path_tail is None
+def test_unknown_schema_parses_with_no_path_tail():
+    spec = parse_permission("widgets:tacc:read:x:/a")
+    assert (spec.parts[-1], spec.path_tail) == (frozenset({"/a"}), None)
 
 
 def test_mixed_path_semantics_in_leading_part_rejected():
@@ -307,7 +309,7 @@ parse_pieces = st.lists(st.sampled_from(["a", "b", "*", ",", ":", "/", ".", "//"
 parse_registries = st.sampled_from([
     DEFAULT_REGISTRY,
     SchemaRegistry([SchemaRule("files", 4), SchemaRule("a", 2)]),
-    SchemaRegistry([SchemaRule("files", 4), SchemaRule("a", 4)], strict=True),
+    SchemaRegistry([SchemaRule("files", 4), SchemaRule("a", 4)]),
 ])
 
 
@@ -334,6 +336,6 @@ def test_canonicalize_agrees_with_the_reference_renderer(head, pieces, registry)
     raw = head + "".join(pieces)
     try:
         spec = parse_permission(raw, registry)
-    except (MalformedPermission, SchemaMismatch, UnknownSchema):
+    except (MalformedPermission, SchemaMismatch):
         return
     assert canonicalize(spec) == reference_canonicalize(spec)

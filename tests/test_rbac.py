@@ -667,8 +667,7 @@ def test_role_chain_deeper_than_the_recursion_limit(svc):
         svc.add_child_role("tacc", parent, child)
     user = UserIdentity("u", "tacc")
     svc.grant_role(user, names[0], "admin")
-    assert svc.has_role(user, names[-1])
-    assert len(svc.effective_roles("tacc", "u")) == len(names)
+    assert all(svc.has_role(user, name) for name in names)
     with pytest.raises(CycleDetected):
         svc.add_child_role("tacc", names[-1], names[0])
 
@@ -693,7 +692,8 @@ def test_a_checks_closure_work_follows_the_subject_not_the_tenant(svc, monkeypat
     monkeypatch.setattr(rbac_module, "_reach", counting_reach)
     assert svc.is_permitted(user, "systems:tacc:read:s1")
     monkeypatch.undo()
-    assert 0 < sum(visited) <= len(svc.effective_roles("tacc", "u")) == 2
+    # The walk reaches only the subject's own role and its child.
+    assert 0 < sum(visited) <= 2
 
 
 class _SlowService(RbacService):

@@ -3,22 +3,15 @@ import threading
 
 import pytest
 
-from fedsec.errors import (
-    DuplicateTenant,
-    NotAuthorized,
-    TopologyInvalid,
-    UnknownSite,
-    UnknownTenant,
-)
-from fedsec.identity import BOOTSTRAP, Caller
-from fedsec.registry import CachedRegistryView, Registry, TenantRecord, load_config
+from fedsec.errors import TopologyInvalid, UnknownSite, UnknownTenant
+from fedsec.registry import CachedRegistryView, load_config
 
 from .conftest import two_site_doc
 
 
 @pytest.fixture
 def registry():
-    return Registry.from_config(two_site_doc())
+    return load_config(two_site_doc())
 
 
 def test_load_and_query(registry):
@@ -93,49 +86,21 @@ def test_tenant_owned_by_unknown_site_rejected():
         load_config(doc)
 
 
-def test_register_tenant(registry):
-    rec = TenantRecord(tenant_id="t3", owning_site="assoc1", base_url="http://t3.sim")
-    registry.register_tenant(rec, Caller(name="assoc1", tenant="-", kind="operator"))
-    assert registry.get_tenant("t3").owning_site == "assoc1"
-    with pytest.raises(DuplicateTenant):
-        registry.register_tenant(rec, Caller(name="assoc1", tenant="-", kind="operator"))
-
-
-def test_register_tenant_unknown_site(registry):
-    rec = TenantRecord(tenant_id="t9", owning_site="ghost", base_url="http://t9.sim")
-    with pytest.raises(UnknownSite):
-        registry.register_tenant(rec, BOOTSTRAP)
-
-
-def test_register_by_unrelated_operator_rejected(registry):
-    rec = TenantRecord(tenant_id="t4", owning_site="prime", base_url="http://t4.sim")
-    with pytest.raises(NotAuthorized):
-        registry.register_tenant(rec, Caller(name="assoc1", tenant="-", kind="operator"))
-    # The primary operator may register for any site.
-    rec2 = TenantRecord(tenant_id="t5", owning_site="assoc1", base_url="http://t5.sim")
-    registry.register_tenant(rec2, Caller(name="prime", tenant="-", kind="operator"))
-
-
-def test_admin_tenants_only_through_bootstrap(registry):
-    rec = TenantRecord(tenant_id="admin.x", owning_site="prime",
-                       base_url="http://adminx.sim", is_admin_tenant=True)
-    with pytest.raises(NotAuthorized):
-        registry.register_tenant(rec, Caller(name="prime", tenant="-", kind="operator"))
-
-
 def test_public_key_lookup_and_replacement(keyed_two_site):
     doc, keys = keyed_two_site
-    registry = Registry.from_config(doc)
+    registry = load_config(doc)
     assert registry.get_public_key("tenant1") == keys["tenant1"][1]
     with pytest.raises(UnknownTenant):
         registry.get_public_key("ghost")
-    registry.replace_public_key("tenant1", "NEWKEY")
-    assert registry.get_public_key("tenant1") == "NEWKEY"
+    # A key is replaced by loading a snapshot that holds the new key.
+    next(t for t in doc["tenants"] if t["tenant_id"] == "tenant1")["public_key"] = "NEWKEY"
+    assert load_config(doc).get_public_key("tenant1") == "NEWKEY"
+    assert registry.get_public_key("tenant1") == keys["tenant1"][1]
 
 
 def test_snapshot_determinism():
     doc = two_site_doc()
-    a, b = Registry.from_config(copy.deepcopy(doc)), Registry.from_config(copy.deepcopy(doc))
+    a, b = load_config(copy.deepcopy(doc)), load_config(copy.deepcopy(doc))
     for tenant in ("tenant1", "tenant2", "admin.prime", "admin.assoc1"):
         assert a.get_public_key(tenant) == b.get_public_key(tenant)
         assert a.resolve_site_for_tenant(tenant).site_id == b.resolve_site_for_tenant(tenant).site_id

@@ -1,7 +1,7 @@
 import pytest
 
 from fedsec.errors import PrimaryUnreachable
-from fedsec.registry import Registry
+from fedsec.registry import load_config
 from fedsec.router import RouteDecision, RouteKind, extract_service, forward, route
 
 from .conftest import two_site_doc
@@ -9,7 +9,7 @@ from .conftest import two_site_doc
 
 @pytest.fixture
 def registry():
-    return Registry.from_config(two_site_doc())
+    return load_config(two_site_doc())
 
 
 def test_extract_service():

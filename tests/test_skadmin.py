@@ -9,6 +9,7 @@ from fedsec.secrets import (
     SecretCategory,
     SecretPath,
     SecretsService,
+    decrypt_backup,
     generate_master_key,
 )
 from fedsec.skadmin import (
@@ -20,7 +21,6 @@ from fedsec.skadmin import (
     check_deployment_order,
     exchange_associate_key,
     export_secrets,
-    read_encrypted_export,
     run_bootstrap,
 )
 
@@ -110,7 +110,7 @@ def test_encrypted_file_export_round_trip(store, tmp_path):
     config = primary_config()
     report = run_bootstrap(config, store)
     out = export_secrets(report, store, "encrypted-file", tmp_path / "secrets.enc")
-    records = read_encrypted_export(out, store.master_key)
+    records = decrypt_backup(out.read_bytes(), store.master_key)
     assert sorted(r["path"] for r in records) == sorted(report.created)
     import base64
     for r in records:
@@ -124,7 +124,7 @@ def test_encrypted_file_export_under_another_key_fails(store, tmp_path):
     report = run_bootstrap(primary_config(), store)
     out = export_secrets(report, store, "encrypted-file", tmp_path / "secrets.enc")
     with pytest.raises(ExportFailed):
-        read_encrypted_export(out, generate_master_key())
+        decrypt_backup(out.read_bytes(), generate_master_key())
 
 
 def test_manifest_export_one_document_per_secret(store, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +23,7 @@ from fedsec.errors import (
 from fedsec.gatekeeper import InboundRequest, validate_request
 from fedsec.identity import BOOTSTRAP, Caller
 from fedsec.rbac import TOKEN_GENERATOR_ROLE, RbacService
-from fedsec.registry import Registry, RegistrySnapshot
+from fedsec.registry import RegistrySnapshot, load_config
 from fedsec.secrets import SecretCategory, SecretPath, SecretsService, SecretValue
 from fedsec.tokens import (
     VERIFIED_LIMIT,
@@ -42,7 +43,7 @@ def _build_site(keypool):
     tenants = ["admin.prime", "admin.assoc1", "tenant1", "tenant2"]
     keys = {t: keypool[i] for i, t in enumerate(tenants)}
     doc = two_site_doc(keys)
-    registry = Registry.from_config(doc)
+    registry = load_config(doc)
     rbac = RbacService()
     for t in ("tenant1", "admin.prime"):
         rbac.create_tenant_defaults(t)
@@ -140,7 +141,7 @@ def test_associate_cannot_target_other_associate(keyed_two_site, keypool):
     })
     doc["tenants"].append({"tenant_id": "admin.assoc2", "owning_site": "assoc2",
                            "is_admin_tenant": True, "public_key": keypool[4][1]})
-    registry = Registry.from_config(doc)
+    registry = load_config(doc)
     secrets = SecretsService(site_id="assoc1", admin_tenant="admin.assoc1")
     secrets.write_secret(
         SecretPath("admin.assoc1", SecretCategory.SERVICE_PASSWORD, "systems", "password"),
@@ -373,16 +374,18 @@ def test_a_cached_token_expires(site, verified):
 
 
 def test_a_replaced_key_rejects_the_cached_token_at_rule_1(site, verified, keypool):
-    forge, registry, keys, now = site
+    forge, registry, _, now = site
     token = forge.issue_user_token(AUTHENTICATOR, "tenant1", "bob")
     request = InboundRequest(token=token, target_service="security-kernel", receiving_site="prime")
     assert validate_request(request, registry, clock=lambda: now[0]).accepted
-    registry.replace_public_key("tenant1", keypool[5][1])
+    snap = registry.snapshot
+    rotated = RegistrySnapshot(snap.sites.values(), [
+        replace(t, public_key=keypool[5][1]) if t.tenant_id == "tenant1" else t
+        for t in snap.tenants.values()])
     with pytest.raises(BadSignature):
-        verify(token, registry, clock=lambda: now[0])
-    verdict = validate_request(request, registry, clock=lambda: now[0])
+        verify(token, rotated, clock=lambda: now[0])
+    verdict = validate_request(request, rotated, clock=lambda: now[0])
     assert (verdict.accepted, verdict.rule_violated) == (False, "1")
-    registry.replace_public_key("tenant1", keys["tenant1"][1])
     assert validate_request(request, registry, clock=lambda: now[0]).accepted
 
 
