@@ -247,6 +247,9 @@ def fedsim_load(permissions, users, wait, duration, out_path, topology_path):
         profile = LoadProfile(permission_count=permissions, concurrent_users=users,
                               wait_time_range=wait, duration=duration)
         report = run_load(federation, profile, workload)
+    except SecurityError as exc:
+        click.echo(f"load run failed: {exc.message}", err=True)
+        sys.exit(1)
     finally:
         federation.close()
     payload = report.to_dict()
@@ -272,7 +275,11 @@ def fedsim_ladder(permissions, users, wait, duration, out_path):
 
     rows = []
     for user_count in users:
-        reports = run_ladder(load_topology, permissions, user_count, wait=wait, duration=duration)
+        try:
+            reports = run_ladder(load_topology, permissions, user_count, wait=wait, duration=duration)
+        except SecurityError as exc:
+            click.echo(f"ladder run failed: {exc.message}", err=True)
+            sys.exit(1)
         rows.extend(r.to_dict() for r in reports)
     click.echo(json.dumps(rows, indent=2))
     if out_path:

@@ -23,10 +23,9 @@ class UserIdentity:
 # Caller kinds, in rough order of privilege:
 #   user      - an end user authenticated in some tenant
 #   service   - a platform service, identified in a site's admin tenant
-#   sk        - the security kernel's own internal access path
 #   bootstrap - the sk-admin utility populating a fresh site
 #   operator  - a site operator credential (backup/export paths)
-CALLER_KINDS = ("user", "service", "sk", "bootstrap", "operator")
+CALLER_KINDS = ("user", "service", "bootstrap", "operator")
 
 
 @dataclass(frozen=True)
@@ -47,4 +46,3 @@ class Caller:
 
 BOOTSTRAP = Caller(name="sk-admin", tenant="-", kind="bootstrap")
 OPERATOR = Caller(name="operator", tenant="-", kind="operator")
-SK_INTERNAL = Caller(name="security-kernel", tenant="-", kind="sk")

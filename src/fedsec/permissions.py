@@ -7,8 +7,9 @@ wildcard ``*`` or a comma-separated set of literals, e.g.::
     systems:cyverse:*:frontera
     systems:a2cps:read,modify:corral
 
-A schema registry maps the leading part (the schema, e.g. ``files``) to an
-optional part index at which a hierarchical path tail begins. Everything
+``PATH_PART_INDEX`` maps a leading part (the schema) to the part index at
+which its hierarchical path tail begins. ``files`` is the one such schema,
+with its path at part 4; every other schema has no path tail. Everything
 from that index onward is consumed verbatim as a single absolute path, so
 paths may legally contain ``:``. A granted path covers the whole subtree
 rooted at it, with prefixing decided at ``/`` boundaries only::
@@ -46,37 +47,9 @@ from .errors import MalformedPermission, SchemaMismatch
 WILDCARD = "*"
 
 
-@dataclass(frozen=True)
-class SchemaRule:
-    """Registry entry: where (if anywhere) a schema's path tail starts."""
-
-    schema: str
-    path_part_index: int | None = None
-
-    def __post_init__(self):
-        if self.path_part_index is not None and self.path_part_index < 2:
-            raise ValueError("path_part_index must be >= 2 (schema and tenant parts are never paths)")
-
-
-class SchemaRegistry:
-    """Lookup table of SchemaRules keyed by leading-part literal. A schema
-    with no rule parses with no path tail."""
-
-    def __init__(self, rules=()):
-        self._rules = {r.schema: r for r in rules}
-
-    def rule_for(self, schema: str) -> SchemaRule | None:
-        return self._rules.get(schema)
-
-    @classmethod
-    def from_config(cls, entries) -> "SchemaRegistry":
-        """Build from configuration dicts: [{"schema": ..., "path_part_index": ...}, ...]."""
-        return cls(SchemaRule(e["schema"], e.get("path_part_index")) for e in entries)
-
-
-#: Default registry: the files schema carries a path in part 4
-#: (service:tenant:operation:systemId:path).
-DEFAULT_REGISTRY = SchemaRegistry([SchemaRule("files", 4)])
+#: The schemas whose permissions end in a path, and the part at which it
+#: starts: files carries it in part 4 (service:tenant:operation:systemId:path).
+PATH_PART_INDEX = {"files": 4}
 
 
 @dataclass(frozen=True)
@@ -121,26 +94,25 @@ def _normalize_path(raw_path: str) -> str:
     return "/" + "/".join(segments) if segments else "/"
 
 
-def _path_index_for(first_part, registry: SchemaRegistry) -> int | None:
+def _path_index_for(first_part) -> int | None:
     """Resolve a parsed leading part to its schema path index, if any."""
     if first_part is WILDCARD:
         return None
     indexes = set()
     for literal in first_part:
-        rule = registry.rule_for(literal)
-        indexes.add(rule.path_part_index if rule else None)
+        indexes.add(PATH_PART_INDEX.get(literal))
     if len(indexes) > 1:
         raise SchemaMismatch(f"leading part {sorted(first_part)} mixes schemas with different path semantics")
     return indexes.pop()
 
 
-def parse_permission(raw: str, registry: SchemaRegistry = DEFAULT_REGISTRY) -> PermissionSpec:
-    """Parse a permission string under the given schema registry."""
+def parse_permission(raw: str) -> PermissionSpec:
+    """Parse a permission string."""
     if not raw:
         raise MalformedPermission("empty permission string")
     first_chunk = raw.split(":", 1)[0]
     first_part = _parse_part(first_chunk)
-    path_index = _path_index_for(first_part, registry)
+    path_index = _path_index_for(first_part)
 
     path_tail = None
     if path_index is not None and raw.count(":") >= path_index:
@@ -156,8 +128,7 @@ def parse_permission(raw: str, registry: SchemaRegistry = DEFAULT_REGISTRY) -> P
 def canonicalize(spec: PermissionSpec) -> str:
     """Deterministic rendering: sub-part literals sorted, path normalized.
 
-    parse(canonicalize(s)) equals s whenever s was parsed under the same
-    registry.
+    parse(canonicalize(s)) equals s.
     """
     # A parsed spec's raw string is only as long as its literals, path tail and
     # separators when it is canonical: each part is ``*`` or one literal written
@@ -197,9 +168,7 @@ def _require_concrete(required: PermissionSpec) -> None:
 def implies(granted: PermissionSpec, required: PermissionSpec) -> bool:
     """Decide whether ``granted`` covers the concrete request ``required``.
 
-    Both specs must come from the same registry; a granted and required
-    pair of one schema whose path tails sit at different part positions
-    indicates mixed registries and raises SchemaMismatch.
+    Raises MalformedPermission when ``required`` is not concrete.
     """
     _require_concrete(required)
 
@@ -207,11 +176,6 @@ def implies(granted: PermissionSpec, required: PermissionSpec) -> bool:
     first = granted.parts[0]
     if not (first is WILDCARD or first == WILDCARD) and not required.parts[0] <= first:
         return False
-    if granted.path_tail is not None and required.path_tail is not None:
-        if len(granted.parts) != len(required.parts):
-            raise SchemaMismatch("path tails at different part positions; specs parsed under different registries")
-    if granted.path_tail is not None and len(granted.parts) < len(required.parts):
-        raise SchemaMismatch("granted path tail overlaps required parts; specs parsed under different registries")
 
     for i, req_part in enumerate(required.parts):
         if i >= len(granted.parts):

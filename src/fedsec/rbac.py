@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import CycleDetected, MalformedPermission, NotAuthorized, RoleExists, UnknownRole
 from .identity import Caller, UserIdentity
-from .permissions import (
-    DEFAULT_REGISTRY,
-    PermissionSpec,
-    SchemaRegistry,
-    canonicalize,
-    implies,
-    parse_permission,
-)
+from .permissions import PermissionSpec, canonicalize, implies, parse_permission
 
 AUDIT_LIMIT = 10_000  # audit entries a service keeps; older ones are dropped
 
@@ -122,8 +115,7 @@ class RbacService:
     ``(tenant, role)``. Every read and write holds the tenant's lock.
     """
 
-    def __init__(self, registry: SchemaRegistry = DEFAULT_REGISTRY):
-        self.registry = registry
+    def __init__(self):
         self._roles = {}         # tenant -> {name: (owner, description)}
         self._edges = {}         # tenant -> {parent: set(children)}
         self._assignments = {}   # tenant -> {subject: {role: grantor}}
@@ -150,7 +142,7 @@ class RbacService:
 
     def _authorize_admin(self, tenant: str, caller: Caller | None):
         """Tenant admins, services, and internal paths may manage roles."""
-        if caller is None or caller.kind in ("service", "sk", "bootstrap"):
+        if caller is None or caller.kind in ("service", "bootstrap"):
             return
         if caller.kind == "user" and caller.tenant == tenant:
             with self._lock(tenant):
@@ -269,7 +261,7 @@ class RbacService:
 
     def _write_grant(self, role_name, tenant, permission, caller, granted):
         self._authorize_admin(tenant, caller)
-        spec = parse_permission(permission, self.registry)
+        spec = parse_permission(permission)
         canon = canonicalize(spec)
         with self._lock(tenant):
             self._row(tenant, role_name)
@@ -288,7 +280,7 @@ class RbacService:
         return self.subject_is_permitted(user.tenant, user.username, required_permission)
 
     def subject_is_permitted(self, tenant, subject, required_permission: str) -> bool:
-        required = parse_permission(required_permission, self.registry)
+        required = parse_permission(required_permission)
         if not required.is_concrete():
             raise MalformedPermission(f"required permission must be concrete: {required_permission!r}")
         canonical = canonicalize(required)

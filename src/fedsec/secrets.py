@@ -145,7 +145,7 @@ def _is_owner(caller: Caller, path: SecretPath) -> bool:
 
 
 # Category policy: (category, operation) -> predicate(caller, path, admin_tenant).
-# Every pair is present so the matrix is total; anything not listed is a deny.
+# A pair that is not listed is a deny.
 _POLICY = {
     (SecretCategory.SERVICE_PASSWORD, "write"): lambda c, p, a: c.kind == "bootstrap",
     (SecretCategory.SERVICE_PASSWORD, "read"): lambda c, p, a: c.kind in ("bootstrap", "operator"),
@@ -154,18 +154,14 @@ _POLICY = {
     (SecretCategory.DB_CREDENTIAL, "read"): lambda c, p, a: (
         c.kind in ("bootstrap", "operator") or _is_owner(c, p)
     ),
-    (SecretCategory.DB_CREDENTIAL, "validate"): lambda c, p, a: False,
     (SecretCategory.SYSTEM_CREDENTIAL, "write"): lambda c, p, a: _is_site_service(c, a, "systems"),
     (SecretCategory.SYSTEM_CREDENTIAL, "read"): lambda c, p, a: _is_site_service(c, a, "systems", "files", "jobs"),
-    (SecretCategory.SYSTEM_CREDENTIAL, "validate"): lambda c, p, a: False,
-    (SecretCategory.SIGNING_KEY, "write"): lambda c, p, a: c.kind in ("bootstrap", "sk"),
+    (SecretCategory.SIGNING_KEY, "write"): lambda c, p, a: c.kind == "bootstrap",
     (SecretCategory.SIGNING_KEY, "read"): lambda c, p, a: (
-        c.kind in ("bootstrap", "sk") or _is_site_service(c, a, "tokens")
+        c.kind == "bootstrap" or _is_site_service(c, a, "tokens")
     ),
-    (SecretCategory.SIGNING_KEY, "validate"): lambda c, p, a: False,
     (SecretCategory.USER_SECRET, "write"): lambda c, p, a: c.kind == "bootstrap" or _is_owner(c, p),
     (SecretCategory.USER_SECRET, "read"): lambda c, p, a: c.kind == "bootstrap" or _is_owner(c, p),
-    (SecretCategory.USER_SECRET, "validate"): lambda c, p, a: False,
 }
 
 

@@ -390,7 +390,7 @@ class Federation:
         site_id = site.site_id
         secrets = self.secrets[site_id]
         registry = self.registry if site.is_primary else self._associate_registry_view()
-        rbac = RbacService(registry=self.topo.schema_registry)
+        rbac = RbacService()
         sharing = SharingService()
         key_cache = self._tokens_startup(site, secrets)
         forge = TokenForge(

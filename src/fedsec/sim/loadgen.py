@@ -207,16 +207,17 @@ def run_load(federation, profile: LoadProfile, workload: SeededWorkload,
 
 def run_ladder(topology_factory, ladder, users: int, wait=(0.01, 0.1), duration: float = 10.0,
                seed: int = 0):
-    """One fresh federation per rung so permission counts never accumulate."""
+    """One fresh federation per rung so permission counts never accumulate.
+    Every rung's profile is checked before the first federation starts."""
     from .federation import build_federation
 
+    profiles = [LoadProfile(permission_count=count, concurrent_users=users,
+                            wait_time_range=tuple(wait), duration=duration) for count in ladder]
     reports = []
-    for count in ladder:
+    for profile in profiles:
         federation = build_federation(topology_factory())
         try:
-            workload = seed_permissions(federation, count, seed=seed)
-            profile = LoadProfile(permission_count=count, concurrent_users=users,
-                                  wait_time_range=tuple(wait), duration=duration)
+            workload = seed_permissions(federation, profile.permission_count, seed=seed)
             reports.append(run_load(federation, profile, workload, seed=seed))
         finally:
             federation.close()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import TopologyInvalid
-from ..permissions import DEFAULT_REGISTRY, SchemaRegistry
 from ..registry import RegistrySnapshot, SiteConfig, TenantRecord
 
 
@@ -25,7 +24,6 @@ class Topology:
     link_latency_ms: dict = field(default_factory=dict)    # (a, b) sorted tuple -> one-way ms
     host_acl: dict = field(default_factory=dict)           # system -> {user: [privileges]}
     no_authn_routes: frozenset = frozenset()
-    schema_registry: SchemaRegistry = DEFAULT_REGISTRY
     service_token_ttl: float = 4 * 3600.0
     operator_credentials: dict = field(default_factory=dict)  # site -> credential
 
@@ -40,6 +38,9 @@ class Topology:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Topology":
+        if "schemas" in doc:
+            # Dropping a custom path schema would widen its grants, so refuse it.
+            raise TopologyInvalid("the 'schemas' key is not supported: files is the only path schema")
         sites = [SiteConfig.from_dict(d) for d in doc.get("sites", ())]
         tenants = []
         tenant_users = {}
@@ -56,8 +57,6 @@ class Topology:
             if not b:
                 raise TopologyInvalid(f"latency key {key!r} must be 'siteA:siteB'")
             latency[tuple(sorted((a, b)))] = float(ms)
-        schemas = doc.get("schemas")
-        registry = SchemaRegistry.from_config(schemas) if schemas else DEFAULT_REGISTRY
         return cls(
             sites=sites,
             tenants=tenants,
@@ -67,7 +66,6 @@ class Topology:
             host_acl={s: {u: list(p) for u, p in acl.items()}
                       for s, acl in doc.get("host_acl", {}).items()},
             no_authn_routes=frozenset(doc.get("no_authn_routes", ())),
-            schema_registry=registry,
             service_token_ttl=float(doc.get("service_token_ttl_seconds", 4 * 3600)),
             operator_credentials=dict(doc.get("operator_credentials", {})),
         )

@@ -9,7 +9,7 @@ parser and ``implies`` for tests that state permissions as strings.
 from itertools import product
 
 from fedsec.errors import MalformedPermission, SchemaMismatch
-from fedsec.permissions import DEFAULT_REGISTRY, implies, parse_permission
+from fedsec.permissions import implies, parse_permission
 
 
 def cover_set(parts, alphabet, depth):
@@ -156,26 +156,27 @@ def _reference_path(raw_path):
     return "/" + "/".join(segments) if segments else "/"
 
 
-def _reference_path_index(first_part, registry):
+# The schemas whose permissions end in a path, and the part at which it starts.
+_REFERENCE_PATH_PART_INDEX = {"files": 4}
+
+
+def _reference_path_index(first_part):
     if first_part == "*":
         return None
-    indexes = set()
-    for literal in first_part:
-        rule = registry.rule_for(literal)
-        indexes.add(rule.path_part_index if rule else None)
+    indexes = {_REFERENCE_PATH_PART_INDEX.get(literal) for literal in first_part}
     if len(indexes) > 1:
         raise SchemaMismatch(f"leading part {sorted(first_part)} mixes schemas with different path semantics")
     return indexes.pop()
 
 
-def reference_parse(raw, registry):
+def reference_parse(raw):
     """``(parts, path_tail)`` of a permission string, by the straightforward parser
     that splits every part and normalizes every path: each part is ``"*"`` or a
     frozenset of literals. Raises the library's exceptions, with its messages."""
     if not raw:
         raise MalformedPermission("empty permission string")
     first_part = _reference_part(raw.split(":", 1)[0])
-    path_index = _reference_path_index(first_part, registry)
+    path_index = _reference_path_index(first_part)
     path_tail = None
     if path_index is not None and raw.count(":") >= path_index:
         chunks = raw.split(":", path_index)
@@ -194,6 +195,6 @@ def reference_canonicalize(spec):
     return ":".join(rendered)
 
 
-def implies_str(granted, required, registry=DEFAULT_REGISTRY):
-    """``implies`` over two permission strings, both parsed under one registry."""
-    return implies(parse_permission(granted, registry), parse_permission(required, registry))
+def implies_str(granted, required):
+    """``implies`` over two permission strings."""
+    return implies(parse_permission(granted), parse_permission(required))

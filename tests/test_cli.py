@@ -107,3 +107,11 @@ def test_a_malformed_option_is_a_usage_error_before_any_federation(args, monkeyp
     result = CliRunner().invoke(fedsim_cli, args)
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{args[1]}'" in result.output
+
+
+def test_a_load_run_that_records_no_sample_exits_1_with_its_message():
+    result = CliRunner().invoke(fedsim_cli, ["load", "--permissions", "1000", "--users", "1",
+                                             "--duration", "0.000001"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "load run failed: load run produced no samples" in result.output

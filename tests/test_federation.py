@@ -14,6 +14,7 @@ import pytest
 
 import fedsec
 import fedsec.sim.federation as federation_module
+from fedsec.errors import TopologyInvalid
 from fedsec.gatekeeper import TOKEN_HEADER
 from fedsec.identity import UserIdentity
 from fedsec.sharing import SAC_APP_HEADER, SAC_GRANTOR_HEADER
@@ -210,6 +211,24 @@ def test_transcript_determinism():
                     for e in result["transcript"]]
         transcripts.append(stripped)
     assert transcripts[0] == transcripts[1]
+
+
+def test_a_topology_with_a_schemas_key_is_refused():
+    doc = two_site_topology()
+    doc["schemas"] = [{"schema": "files", "path_part_index": 4}, {"schema": "widgets", "path_part_index": 4}]
+    with pytest.raises(TopologyInvalid, match="'schemas'"):
+        Topology.from_dict(doc)
+
+
+def test_a_ladder_checks_every_rungs_profile_before_any_federation(monkeypatch):
+    from fedsec.sim.loadgen import run_ladder
+    from fedsec.sim.presets import load_topology
+
+    calls = []
+    monkeypatch.setattr(federation_module, "build_federation", lambda doc: calls.append(doc))
+    with pytest.raises(TopologyInvalid):
+        run_ladder(load_topology, [1000], 1, wait=(0.2, 0.1))
+    assert calls == []
 
 
 def test_tokens_startup_self_signing_flow():

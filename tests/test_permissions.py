@@ -4,11 +4,8 @@ from hypothesis import strategies as st
 
 from fedsec.errors import MalformedPermission, SchemaMismatch
 from fedsec.permissions import (
-    DEFAULT_REGISTRY,
     WILDCARD,
     PermissionSpec,
-    SchemaRegistry,
-    SchemaRule,
     canonicalize,
     implies,
     parse_permission,
@@ -101,11 +98,6 @@ def test_mixed_path_semantics_in_leading_part_rejected():
         parse_permission("files,systems:tacc:read:sys1:/home")
 
 
-def test_schema_rule_index_floor():
-    with pytest.raises(ValueError):
-        SchemaRule("bad", 1)
-
-
 # --- implication: worked examples ---
 
 def test_b_implies_e():
@@ -183,14 +175,6 @@ def test_required_must_be_concrete():
         implies_str(PERM_A, "systems:tacc:*:stampede2")
     with pytest.raises(MalformedPermission):
         implies_str(PERM_A, "systems:tacc:read,modify:stampede2")
-
-
-def test_cross_registry_specs_raise_schema_mismatch():
-    no_path = SchemaRegistry()
-    pathful = parse_permission("files:t:read:sys1:/a/b")  # default registry
-    plain = parse_permission("files:t:read:sys1:/a/b:x", no_path)
-    with pytest.raises(SchemaMismatch):
-        implies(pathful, plain)
 
 
 # --- canonical form ---
@@ -278,8 +262,8 @@ def test_canonical_round_trip(gparts):
 
 @st.composite
 def permission_strings(draw, concrete):
-    """files/systems/apps permissions of 1-5 parts under DEFAULT_REGISTRY; a
-    fifth part is a path for files and a plain part for the other schemas."""
+    """files/systems/apps permissions of 1-5 parts; a fifth part is a path
+    for files and a plain part for the other schemas."""
     schemas = ["files", "systems", "apps"] if concrete else ["files", "systems", "apps", "*"]
     parts = ["t1", "read", "s1", "x"] if concrete else ["t1", "read", "read,modify", "s2", "x", "*"]
     schema = draw(st.sampled_from(schemas))
@@ -306,36 +290,31 @@ parse_heads = st.sampled_from(["", "a", "files:", "files:t:r:s:", "files:t:r:s:/
                                "*:t:r:s:", "a:b:", "b,a:*:"])
 parse_pieces = st.lists(st.sampled_from(["a", "b", "*", ",", ":", "/", ".", "//", "/./", "/../",
                                          "/.hidden", ".hidden", "/a/"]), max_size=10)
-parse_registries = st.sampled_from([
-    DEFAULT_REGISTRY,
-    SchemaRegistry([SchemaRule("files", 4), SchemaRule("a", 2)]),
-    SchemaRegistry([SchemaRule("files", 4), SchemaRule("a", 4)]),
-])
 
 
-@given(parse_heads, parse_pieces, parse_registries)
+@given(parse_heads, parse_pieces)
 @settings(max_examples=800, deadline=None)
-def test_parse_agrees_with_the_reference_parser(head, pieces, registry):
+def test_parse_agrees_with_the_reference_parser(head, pieces):
     raw = head + "".join(pieces)
     try:
-        expected = reference_parse(raw, registry)
+        expected = reference_parse(raw)
     except Exception as exc:
         with pytest.raises(type(exc)) as caught:
-            parse_permission(raw, registry)
+            parse_permission(raw)
         assert (type(caught.value), str(caught.value)) == (type(exc), str(exc))
     else:
-        spec = parse_permission(raw, registry)
+        spec = parse_permission(raw)
         assert (spec.parts, spec.path_tail) == expected
 
 
-@given(parse_heads, parse_pieces, parse_registries)
-@example("files:t:r:s:", ["//", "a"], DEFAULT_REGISTRY)  # a raw path that ends in its normal form
-@example("a:b:", ["a", ",", "a"], DEFAULT_REGISTRY)       # a literal written twice
+@given(parse_heads, parse_pieces)
+@example("files:t:r:s:", ["//", "a"])  # a raw path that ends in its normal form
+@example("a:b:", ["a", ",", "a"])       # a literal written twice
 @settings(max_examples=800, deadline=None)
-def test_canonicalize_agrees_with_the_reference_renderer(head, pieces, registry):
+def test_canonicalize_agrees_with_the_reference_renderer(head, pieces):
     raw = head + "".join(pieces)
     try:
-        spec = parse_permission(raw, registry)
+        spec = parse_permission(raw)
     except (MalformedPermission, SchemaMismatch):
         return
     assert canonicalize(spec) == reference_canonicalize(spec)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fedsec.rbac as rbac_module
 from fedsec.errors import CycleDetected, MalformedPermission, NotAuthorized, RoleExists, UnknownRole
 from fedsec.identity import Caller, UserIdentity
-from fedsec.permissions import DEFAULT_REGISTRY, implies, parse_permission
+from fedsec.permissions import implies, parse_permission
 from fedsec.rbac import (
     TENANT_ADMIN_ROLE,
     RbacService,
@@ -442,9 +442,9 @@ def test_a_write_to_a_compiled_role_parses_only_the_written_grant(monkeypatch):
     assert svc.is_permitted(user, "files:t1:read:s1:/p0/x")  # compiles the role's matcher
     parsed = []
 
-    def counting_parse(raw, registry=DEFAULT_REGISTRY):
+    def counting_parse(raw):
         parsed.append(raw)
-        return parse_permission(raw, registry)
+        return parse_permission(raw)
 
     monkeypatch.setattr(rbac_module, "parse_permission", counting_parse)
     svc.grant_permission("r", "t1", "files:t1:read:s1:/new")
@@ -465,9 +465,9 @@ def test_a_roles_first_check_parses_only_the_request(monkeypatch):
     svc.grant_role(user, "r", "admin")
     parsed = []
 
-    def counting_parse(raw, registry=DEFAULT_REGISTRY):
+    def counting_parse(raw):
         parsed.append(raw)
-        return parse_permission(raw, registry)
+        return parse_permission(raw)
 
     monkeypatch.setattr(rbac_module, "parse_permission", counting_parse)
     assert svc.is_permitted(user, "files:t1:read:s1:/p0/x")  # builds the role's matcher

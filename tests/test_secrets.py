@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsec.errors import ExportFailed, NotAuthorized, NotFound, QuotaExceeded, SecretMisplaced
-from fedsec.identity import BOOTSTRAP, OPERATOR, SK_INTERNAL, Caller
+from fedsec.identity import BOOTSTRAP, OPERATOR, Caller
 from fedsec.secrets import (
     FileKvBackend,
     MemoryKvBackend,
@@ -110,7 +110,7 @@ def test_only_tokens_validates_passwords():
     store = make_service()
     path = SecretPath(ADMIN, SecretCategory.SERVICE_PASSWORD, "jobs", "password")
     store.write_secret(path, SecretValue(b"sekrit"), BOOTSTRAP)
-    for caller in (SYSTEMS, BOB, SK_INTERNAL, BOOTSTRAP):
+    for caller in (SYSTEMS, BOB, BOOTSTRAP):
         with pytest.raises(NotAuthorized):
             store.validate_service_password("jobs", "prime", b"sekrit", caller)
 
@@ -119,11 +119,15 @@ def test_signing_key_access():
     store = make_service()
     path = SecretPath("tenant1", SecretCategory.SIGNING_KEY, "sk", "keypair")
     store.write_secret(path, SecretValue(b"pem"), BOOTSTRAP)
-    assert store.read_secret(path, SK_INTERNAL).payload == b"pem"
     assert store.read_secret(path, TOKENS).payload == b"pem"
     for caller in (SYSTEMS, BOB):
         with pytest.raises(NotAuthorized):
             store.read_secret(path, caller)
+
+
+def test_sk_is_not_a_caller_kind():
+    with pytest.raises(ValueError):
+        Caller(name="security-kernel", tenant="-", kind="sk")
 
 
 def test_db_credential_owning_service_only():
@@ -140,7 +144,6 @@ def test_policy_matrix_is_total():
     archetypes = {
         "bootstrap": BOOTSTRAP,
         "operator": OPERATOR,
-        "sk": SK_INTERNAL,
         "tokens": TOKENS,
         "systems": SYSTEMS,
         "files": FILES,
@@ -178,9 +181,7 @@ def test_policy_matrix_is_total():
         ("system-credential", "read", "files"),
         ("system-credential", "read", "jobs"),
         ("signing-key", "write", "bootstrap"),
-        ("signing-key", "write", "sk"),
         ("signing-key", "read", "bootstrap"),
-        ("signing-key", "read", "sk"),
         ("signing-key", "read", "tokens"),
         ("user-secret", "write", "bootstrap"),
         ("user-secret", "write", "owner-user"),
